@@ -6,9 +6,10 @@
 //	perfbench [-quick] [-out DIR] [-baseline FILE|auto] [-max-regress 0.25]
 //
 // With -baseline, the run is also a regression gate: every gated
-// benchmark (engine-step, sharded-cluster, trace-binary-decode,
-// trace-binary-encode, predicted-dispatch) may be at most -max-regress slower in ns/op
-// than the baseline report, otherwise the process exits non-zero.
+// benchmark (perfbench.GatedBenchmarks: engine-step, sharded-cluster,
+// trace-binary-decode, trace-binary-encode, predicted-dispatch,
+// host-pipeline, dispatch-1k) may be at most -max-regress slower in
+// ns/op than the baseline report, otherwise the process exits non-zero.
 // Benchmarks the baseline predates are noted and skipped, so adding a
 // scenario doesn't break the gate until a baseline containing it is
 // checked in. Passing `-baseline auto` picks the lexically-newest

@@ -126,14 +126,15 @@ type Config struct {
 
 // node pairs one host runtime with its dispatch accounting and
 // (optionally) its container lifecycle manager. It implements the Host
-// view dispatchers decide from. The runtime (and its stage pipeline)
-// is wired at Run start, because the stage set depends on the
-// execution mode.
+// view dispatchers decide from; every read is O(1). The runtime (and
+// its stage pipeline) is wired at Run start, because the stage set
+// depends on the execution mode.
 type node struct {
 	idx        int
 	eng        *cpusim.Engine
 	mgr        *lifecycle.Manager // nil when lifecycle modeling is off
 	rt         *host.Runtime      // set at Run start
+	load       *fleetLoad         // the owning cluster's load index
 	speed      float64
 	dispatched int
 }
@@ -287,6 +288,7 @@ type Cluster struct {
 	cfg    Config
 	nodes  []*node
 	views  []Host
+	load   *fleetLoad
 	inj    *chain.Injector    // nil unless Config.Chain was set
 	obs    CompletionObserver // the dispatcher, when it wants completions
 	netRNG *rng.RNG           // nil unless Config.NetDelay was set
@@ -338,7 +340,7 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.NetDelay != nil && cfg.NetDelay.Mean() < 0 {
 		return nil, fmt.Errorf("cluster: network delay %s has negative mean %v", cfg.NetDelay, cfg.NetDelay.Mean())
 	}
-	c := &Cluster{cfg: cfg}
+	c := &Cluster{cfg: cfg, load: &fleetLoad{}}
 	c.obs, _ = cfg.Dispatcher.(CompletionObserver)
 	if cfg.NetDelay != nil {
 		c.netRNG = rng.New(cfg.NetDelaySeed)
@@ -355,7 +357,7 @@ func New(cfg Config) (*Cluster, error) {
 		if len(cfg.Speeds) > 0 {
 			sp = cfg.Speeds[i]
 		}
-		n := &node{idx: i, speed: sp, eng: cpusim.NewEngine(cpusim.Config{
+		n := &node{idx: i, speed: sp, load: c.load, eng: cpusim.NewEngine(cpusim.Config{
 			Cores:         cfg.CoresPerHost,
 			CtxSwitchCost: cfg.CtxSwitchCost,
 			Speed:         sp,
@@ -368,7 +370,19 @@ func New(cfg Config) (*Cluster, error) {
 		c.nodes = append(c.nodes, n)
 		c.views = append(c.views, n)
 	}
+	c.load.nodes, c.load.views = c.nodes, c.views
 	return c, nil
+}
+
+// pick asks the dispatcher where t goes as of instant at, turning a
+// host index outside the fleet into an error that names the dispatcher.
+func (c *Cluster) pick(at simtime.Time, t *task.Task) (int, error) {
+	idx := c.cfg.Dispatcher.Pick(at, t, c.views)
+	if idx != Hold && (idx < 0 || idx >= len(c.nodes)) {
+		return Hold, fmt.Errorf("cluster: dispatcher %s picked host %d, outside [0, %d)",
+			c.cfg.Dispatcher.Name(), idx, len(c.nodes))
+	}
+	return idx, nil
 }
 
 // wireRuntimes wraps every node's engine in a host.Runtime running the
@@ -431,9 +445,10 @@ func (c *Cluster) Run(src trace.Source) (*Result, error) {
 		return stages
 	}))
 
-	// offer asks the dispatcher to place records[ri], parking it in the
-	// central queue on Hold.
-	offer := func(at simtime.Time, ri int) bool {
+	// offer asks the dispatcher to place records[ri]. It reports false
+	// when the dispatcher holds the invocation (the caller parks it in
+	// the central queue) or picks an invalid host (with the error).
+	offer := func(at simtime.Time, ri int) (bool, error) {
 		rec := &records[ri]
 		if c.cfg.NewLifecycle != nil {
 			// Age out expired containers first so affinity-aware
@@ -443,12 +458,9 @@ func (c *Cluster) Run(src trace.Source) (*Result, error) {
 				n.mgr.AdvanceTo(at)
 			}
 		}
-		idx := c.cfg.Dispatcher.Pick(at, rec.t, c.views)
+		idx, err := c.pick(at, rec.t)
 		if idx == Hold {
-			return false
-		}
-		if idx < 0 || idx >= len(c.nodes) {
-			panic(fmt.Sprintf("cluster: dispatcher %s picked host %d of %d", c.cfg.Dispatcher.Name(), idx, len(c.nodes)))
+			return false, err
 		}
 		rec.host = idx
 		rec.at = at
@@ -466,34 +478,40 @@ func (c *Cluster) Run(src trace.Source) (*Result, error) {
 		// Deliver; a cold start further delays runnability there.
 		rec.t.Arrival += c.netDelayOf()
 		g.Deliver(idx, at, rec.t)
+		c.load.update(idx)
 		c.nodes[idx].dispatched++
-		return true
+		return true, nil
 	}
 
 	// drainCentral re-offers held work oldest-first, stopping at the
 	// first invocation the dispatcher still declines (FIFO order is part
 	// of the pull-based contract).
-	drainCentral := func(at simtime.Time) {
+	drainCentral := func(at simtime.Time) error {
 		for len(central) > 0 {
-			if !offer(at, central[0]) {
-				return
+			if ok, err := offer(at, central[0]); !ok {
+				return err
 			}
 			central = central[1:]
 		}
+		return nil
 	}
 
 	// admit registers an invocation arriving at `at` and offers it to
 	// the dispatcher, parking it behind any already-held work so nothing
 	// overtakes the central queue's FIFO order.
-	admit := func(t *task.Task, at simtime.Time) {
+	admit := func(t *task.Task, at simtime.Time) error {
 		records = append(records, record{t: t, orig: t.Arrival, host: Hold, at: -1})
 		ri := len(records) - 1
-		if len(central) > 0 || !offer(at, ri) {
-			central = append(central, ri)
-			if len(central) > maxQ {
-				maxQ = len(central)
+		if len(central) == 0 {
+			if ok, err := offer(at, ri); ok || err != nil {
+				return err
 			}
 		}
+		central = append(central, ri)
+		if len(central) > maxQ {
+			maxQ = len(central)
+		}
+		return nil
 	}
 
 	next, more := src.Next()
@@ -516,11 +534,14 @@ func (c *Cluster) Run(src trace.Source) (*Result, error) {
 			}
 			before := c.nodes[heHost].eng.Pending()
 			g.Step(heHost)
+			c.load.update(heHost)
 			if heTime > now {
 				now = heTime
 			}
 			if c.nodes[heHost].eng.Pending() < before {
-				drainCentral(now)
+				if err := drainCentral(now); err != nil {
+					return nil, err
+				}
 			}
 			// A completion may release downstream chain stages: they
 			// re-enter dispatch as arrivals at the completion instant,
@@ -528,7 +549,9 @@ func (c *Cluster) Run(src trace.Source) (*Result, error) {
 			if c.inj != nil && len(finished) > 0 {
 				for _, ft := range finished {
 					for _, dt := range c.inj.OnFinish(ft) {
-						admit(dt, now)
+						if err := admit(dt, now); err != nil {
+							return nil, err
+						}
 					}
 				}
 				finished = finished[:0]
@@ -549,10 +572,12 @@ func (c *Cluster) Run(src trace.Source) (*Result, error) {
 				// arriving at the request instant; the request task
 				// itself is stage 0.
 				for _, rt := range c.inj.Expand(next) {
-					admit(rt, now)
+					if err := admit(rt, now); err != nil {
+						return nil, err
+					}
 				}
-			} else {
-				admit(next, now)
+			} else if err := admit(next, now); err != nil {
+				return nil, err
 			}
 			next, more = src.Next()
 			continue

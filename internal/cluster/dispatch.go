@@ -15,7 +15,8 @@ import (
 
 // Host is the read-only view of one simulated host that dispatch
 // policies decide from. All quantities are instantaneous at the
-// dispatch decision's virtual time.
+// dispatch decision's virtual time, and on the cluster's own views
+// every read is O(1).
 type Host interface {
 	// Index is the host's position in the cluster (0..Hosts-1).
 	Index() int
@@ -100,6 +101,20 @@ func (d *random) Pick(now simtime.Time, t *task.Task, hosts []Host) int {
 	return d.r.Intn(len(hosts))
 }
 
+// argminScan is the reference definition of the argmin-load policies:
+// the first host (lowest index) with the smallest load. Picks over a
+// cluster's own views read the same answer from its fleet load index
+// (see loadOf); the scan serves any other host slice.
+func argminScan(hosts []Host, load func(Host) int) int {
+	best, bestLoad := 0, math.MaxInt
+	for i, h := range hosts {
+		if l := load(h); l < bestLoad {
+			best, bestLoad = i, l
+		}
+	}
+	return best
+}
+
 // leastLoaded sends each invocation to the host with the fewest
 // in-flight invocations (running, runnable, or blocked), breaking ties
 // by lowest index.
@@ -108,13 +123,11 @@ type leastLoaded struct{}
 func (leastLoaded) Name() string { return "LEASTLOADED" }
 
 func (leastLoaded) Pick(now simtime.Time, t *task.Task, hosts []Host) int {
-	best := 0
-	for i, h := range hosts {
-		if h.InFlight() < hosts[best].InFlight() {
-			best = i
-		}
+	if fl := loadOf(hosts); fl != nil {
+		best, _ := fl.minInFlight()
+		return best
 	}
-	return best
+	return argminScan(hosts, Host.InFlight)
 }
 
 // joinShortestQueue sends each invocation to the host with the fewest
@@ -126,13 +139,10 @@ type joinShortestQueue struct{}
 func (joinShortestQueue) Name() string { return "JSQ" }
 
 func (joinShortestQueue) Pick(now simtime.Time, t *task.Task, hosts []Host) int {
-	best := 0
-	for i, h := range hosts {
-		if h.Queued() < hosts[best].Queued() {
-			best = i
-		}
+	if fl := loadOf(hosts); fl != nil {
+		return fl.minQueued()
 	}
-	return best
+	return argminScan(hosts, Host.Queued)
 }
 
 // pullBased models Hiku-style pull scheduling: hosts claim work only
@@ -141,12 +151,20 @@ func (joinShortestQueue) Pick(now simtime.Time, t *task.Task, hosts []Host) int 
 // until a completion frees a slot. Among hosts with capacity the one
 // with the most free slots claims first (ties to the lowest index), so
 // work spreads to the idlest host exactly as an idle-worker queue
-// would.
+// would. Cluster hosts share one core count, so on the fleet load
+// index that host is simply the least-loaded one.
 type pullBased struct{}
 
 func (pullBased) Name() string { return "PULL" }
 
 func (pullBased) Pick(now simtime.Time, t *task.Task, hosts []Host) int {
+	if fl := loadOf(hosts); fl != nil {
+		best, inFlight := fl.minInFlight()
+		if inFlight >= hosts[best].Cores() {
+			return Hold
+		}
+		return best
+	}
 	best, bestFree := Hold, 0
 	for i, h := range hosts {
 		if free := h.Cores() - h.InFlight(); free > bestFree {

@@ -102,7 +102,7 @@ func matrixRun(t *testing.T, tc matrixCase, shards int) string {
 // the parallel window path is exercised with stages attached.
 func TestUnifiedCoreMatrix(t *testing.T) {
 	for _, sc := range []string{"SFS", "CFS"} {
-		for _, dp := range []string{"RR", "JSQ", "PULL", "PREDICTED"} {
+		for _, dp := range []string{"RR", "JSQ", "LEASTLOADED", "PULL", "WARMFIRST", "PREDICTED"} {
 			for _, ka := range []string{"", "TTL", "HIST"} {
 				for _, withChain := range []bool{false, true} {
 					tc := matrixCase{sched: sc, dispatch: dp, keepalive: ka, chain: withChain}

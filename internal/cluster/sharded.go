@@ -150,14 +150,11 @@ func (c *Cluster) runSharded(src trace.Source) (*Result, error) {
 	// shard's group as a submission at `at`. Unlike the serial path,
 	// nothing touches the host engine here — the group performs the
 	// stage hooks and submit inside its window.
-	offer := func(at simtime.Time, ri int) bool {
+	offer := func(at simtime.Time, ri int) (bool, error) {
 		rec := &records[ri]
-		idx := c.cfg.Dispatcher.Pick(at, rec.t, c.views)
+		idx, err := c.pick(at, rec.t)
 		if idx == Hold {
-			return false
-		}
-		if idx < 0 || idx >= len(c.nodes) {
-			panic(fmt.Sprintf("cluster: dispatcher %s picked host %d of %d", c.cfg.Dispatcher.Name(), idx, len(c.nodes)))
+			return false, err
 		}
 		rec.host = idx
 		rec.at = at
@@ -172,27 +169,33 @@ func (c *Cluster) runSharded(src trace.Source) (*Result, error) {
 		c.nodes[idx].dispatched++
 		sh := shards[shardOf[idx]]
 		sh.grp.Enqueue(idx-sh.base, at, rec.t)
-		return true
+		c.load.update(idx)
+		return true, nil
 	}
 
-	drainCentral := func(at simtime.Time) {
+	drainCentral := func(at simtime.Time) error {
 		for len(central) > 0 {
-			if !offer(at, central[0]) {
-				return
+			if ok, err := offer(at, central[0]); !ok {
+				return err
 			}
 			central = central[1:]
 		}
+		return nil
 	}
 
-	admit := func(t *task.Task, at simtime.Time) {
+	admit := func(t *task.Task, at simtime.Time) error {
 		records = append(records, record{t: t, orig: t.Arrival, host: Hold, at: -1})
 		ri := len(records) - 1
-		if len(central) > 0 || !offer(at, ri) {
-			central = append(central, ri)
-			if len(central) > maxQ {
-				maxQ = len(central)
+		if len(central) == 0 {
+			if ok, err := offer(at, ri); ok || err != nil {
+				return err
 			}
 		}
+		central = append(central, ri)
+		if len(central) > maxQ {
+			maxQ = len(central)
+		}
+		return nil
 	}
 
 	// Window execution: one persistent worker per strided shard group,
@@ -288,12 +291,16 @@ func (c *Cluster) runSharded(src trace.Source) (*Result, error) {
 			}
 		}
 		if completions > 0 {
-			drainCentral(now)
+			if err := drainCentral(now); err != nil {
+				return nil, err
+			}
 		}
 		if c.inj != nil {
 			for _, fr := range finished {
 				for _, dt := range c.inj.OnFinish(fr.t) {
-					admit(dt, now)
+					if err := admit(dt, now); err != nil {
+						return nil, err
+					}
 				}
 			}
 		}
@@ -345,10 +352,12 @@ func (c *Cluster) runSharded(src trace.Source) (*Result, error) {
 		for more && next.Arrival < bound {
 			if c.inj != nil {
 				for _, rt := range c.inj.Expand(next) {
-					admit(rt, next.Arrival)
+					if err := admit(rt, next.Arrival); err != nil {
+						return nil, err
+					}
 				}
-			} else {
-				admit(next, next.Arrival)
+			} else if err := admit(next, next.Arrival); err != nil {
+				return nil, err
 			}
 			next, more = src.Next()
 		}
@@ -356,6 +365,14 @@ func (c *Cluster) runSharded(src trace.Source) (*Result, error) {
 		// ---- window: shards advance in parallel ----
 		runWindow(bound)
 		now = bound
+		// Back on the coordinator: only the hosts a window stepped or
+		// delivered to changed load, so re-key just those before the
+		// next barrier's picks.
+		for _, sh := range shards {
+			for _, i := range sh.grp.Touched() {
+				c.load.update(sh.base + i)
+			}
+		}
 	}
 
 	if err := trace.Err(src); err != nil {

@@ -147,6 +147,7 @@ type Engine struct {
 	q       *simtime.Queue
 	sched   Scheduler
 	cores   []coreState
+	busy    int // cores with a current task, kept where coreState.cur changes
 	pending int // tasks not yet finished
 	tasks   []*task.Task
 
@@ -281,16 +282,9 @@ func (e *Engine) NextPendingEventTime() simtime.Time {
 // arrivals at or after the global clock.
 func (e *Engine) StepEvent() bool { return e.q.Step() }
 
-// BusyCores returns the number of cores currently running a task.
-func (e *Engine) BusyCores() int {
-	n := 0
-	for i := range e.cores {
-		if e.cores[i].cur != nil {
-			n++
-		}
-	}
-	return n
-}
+// BusyCores returns the number of cores currently running a task. It
+// is a counter read, so cluster dispatch views built on it stay O(1).
+func (e *Engine) BusyCores() int { return e.busy }
 
 // Aborted reports whether Run stopped at the deadline with unfinished
 // tasks.
@@ -395,6 +389,7 @@ func (e *Engine) place(now simtime.Time, core int, t *task.Task, slice time.Dura
 		t.Dispatches--
 	}
 	c.cur = t
+	e.busy++
 	c.runStart = now
 	c.budget = slice
 	c.penalty = 0
@@ -504,6 +499,7 @@ func (e *Engine) preempt(now simtime.Time, core int) {
 	e.trace(TracePreempt, core, t)
 	t.MarkReady(now)
 	c.cur = nil
+	e.busy--
 	c.event = simtime.EventRef{}
 	e.sched.Descheduled(now, core, t, ran, ReasonPreempted)
 }
@@ -522,6 +518,7 @@ func (e *Engine) coreEvent(now simtime.Time, core int, reason DescheduleReason) 
 	// this is what lands completions precisely on Service.
 	e.chargeRun(c, t, ran, c.cpuBudget)
 	c.cur = nil
+	e.busy--
 	c.event = simtime.EventRef{}
 
 	switch reason {

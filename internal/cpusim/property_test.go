@@ -157,3 +157,34 @@ func TestPropertyWorkConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBusyCoresCounterMatchesScan: BusyCores is a counter kept where a
+// core gains or loses its task; after every event it must equal a scan
+// of the cores, under schedulers that finish, block, expire slices and
+// preempt on wakeup.
+func TestBusyCoresCounterMatchesScan(t *testing.T) {
+	mks := map[string]func() cpusim.Scheduler{
+		"CFS":  func() cpusim.Scheduler { return sched.NewCFS(sched.CFSConfig{}) },
+		"RR":   func() cpusim.Scheduler { return sched.NewRR(0) },
+		"SRTF": func() cpusim.Scheduler { return sched.NewSRTF() },
+		"FIFO": func() cpusim.Scheduler { return sched.NewFIFO() },
+	}
+	for name, mk := range mks {
+		for seed := uint64(1); seed <= 20; seed++ {
+			cores := int(seed%4) + 1
+			eng := cpusim.NewEngine(cpusim.Config{Cores: cores}, mk())
+			eng.Submit(randomWorkload(seed, uint8(seed*7))...)
+			for step := 0; eng.Pending() > 0 && eng.StepEvent(); step++ {
+				scan := 0
+				for c := 0; c < cores; c++ {
+					if eng.Running(c) != nil {
+						scan++
+					}
+				}
+				if got := eng.BusyCores(); got != scan {
+					t.Fatalf("%s seed %d step %d: BusyCores %d, scan %d", name, seed, step, got, scan)
+				}
+			}
+		}
+	}
+}

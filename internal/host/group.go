@@ -23,15 +23,24 @@ type submission struct {
 // byte-identical at any partitioning.
 type Group struct {
 	rts     []*Runtime
-	hh      *Heap
+	hh      *Heap[simtime.Time]
 	subs    []submission // time-ordered; coordinator appends, Advance consumes
 	subHead int
+	// touched lists, in first-touch order, the runtimes the last
+	// Advance stepped or delivered to; inTouched marks them.
+	touched   []int
+	inTouched []bool
 }
 
 // NewGroup builds a group over rts. The runtimes must be fresh: their
 // engines hold no work, so every heap key starts at Infinity.
 func NewGroup(rts []*Runtime) *Group {
-	return &Group{rts: rts, hh: NewHeap(len(rts))}
+	return &Group{
+		rts:       rts,
+		hh:        NewHeap(len(rts), simtime.Infinity),
+		touched:   make([]int, 0, len(rts)),
+		inTouched: make([]bool, len(rts)),
+	}
 }
 
 // Len is the number of runtimes in the group.
@@ -83,12 +92,17 @@ func (g *Group) NextSubmissionTime() simtime.Time {
 // order — engine events first on ties, as everywhere else — and
 // returns the number of tasks that completed. Between barriers a
 // sharded window touches its group only through this method.
+//
+// Only the runtimes the window steps or delivers to can change, so
+// Advance records them (see Touched) and counts completions over them
+// alone: the per-window cost scales with the work done, not with the
+// group's size.
 func (g *Group) Advance(bound simtime.Time) (completions int) {
-	pendingBefore := 0
-	for _, rt := range g.rts {
-		pendingBefore += rt.eng.Pending()
+	for _, i := range g.touched {
+		g.inTouched[i] = false
 	}
-	submitted := 0
+	g.touched = g.touched[:0]
+	pendingBefore, submitted := 0, 0
 	for {
 		hi, ht := g.hh.Min()
 		st := g.NextSubmissionTime()
@@ -99,18 +113,20 @@ func (g *Group) Advance(bound simtime.Time) (completions int) {
 			// Engine events fire before same-instant submissions, exactly
 			// as the serial loop fires host events before same-instant
 			// arrivals.
+			pendingBefore += g.touch(hi)
 			g.Step(hi)
 			continue
 		}
 		sub := g.subs[g.subHead]
 		g.subHead++
+		pendingBefore += g.touch(sub.idx)
 		g.rts[sub.idx].queued--
 		g.Deliver(sub.idx, sub.at, sub.t)
 		submitted++
 	}
 	pendingAfter := 0
-	for _, rt := range g.rts {
-		pendingAfter += rt.eng.Pending()
+	for _, i := range g.touched {
+		pendingAfter += g.rts[i].eng.Pending()
 	}
 	if g.subHead == len(g.subs) {
 		g.subs = g.subs[:0]
@@ -118,3 +134,21 @@ func (g *Group) Advance(bound simtime.Time) (completions int) {
 	}
 	return pendingBefore + submitted - pendingAfter
 }
+
+// touch records runtime i as touched by the current window and, on its
+// first touch, returns its pending count from before the window.
+func (g *Group) touch(i int) (pendingBefore int) {
+	if g.inTouched[i] {
+		return 0
+	}
+	g.inTouched[i] = true
+	g.touched = append(g.touched, i)
+	return g.rts[i].eng.Pending()
+}
+
+// Touched returns the group-local indices of the runtimes the last
+// Advance stepped or delivered to, in first-touch order. Every other
+// runtime's engine and assignment count are unchanged by that window,
+// which lets the coordinator re-key only these hosts in its fleet load
+// index. The slice is valid until the next Advance.
+func (g *Group) Touched() []int { return g.touched }

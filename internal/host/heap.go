@@ -1,61 +1,61 @@
 package host
 
-import "github.com/serverless-sched/sfs/internal/simtime"
+import "cmp"
 
-// Heap is an index-addressable binary min-heap of runtime indices
-// keyed by each runtime's next pending event time. It replaces the
-// O(hosts) scan the global event loop used to run before every step:
-// peeking the globally-earliest runtime is O(1) and re-keying a
-// runtime after it steps or receives work is O(log hosts).
+// Heap is an index-addressable binary min-heap over the indices 0..n-1,
+// each carrying one key. It replaces O(n) scans with an O(1) peek and
+// an O(log n) re-key, and serves two orderings: a Group keys its
+// runtimes by next pending event time, and the cluster's fleet load
+// index keys hosts by dispatch load (queued or in-flight invocations).
 //
-// Ordering matches the scan it replaced exactly — earliest time first,
-// ties broken by lowest index — so replays are byte-identical at any
-// host count. Runtimes with no pending work are parked at
-// simtime.Infinity rather than removed, which keeps every runtime
-// addressable by index.
-type Heap struct {
-	key  []simtime.Time // runtime index -> current key
-	heap []int          // heap of runtime indices
-	pos  []int          // runtime index -> position in heap
+// Ordering matches the first-minimum scan it replaces exactly —
+// smallest key first, ties broken by lowest index — so replays are
+// byte-identical at any fleet size. Every index stays in the heap for
+// its whole life (an idle runtime is parked at simtime.Infinity rather
+// than removed), which keeps every entry addressable by index.
+type Heap[K cmp.Ordered] struct {
+	key  []K   // index -> current key
+	heap []int // heap of indices
+	pos  []int // index -> position in heap
 }
 
-// NewHeap builds a heap of n runtimes, all parked at Infinity.
-func NewHeap(n int) *Heap {
-	h := &Heap{
-		key:  make([]simtime.Time, n),
+// NewHeap builds a heap of n indices, all keyed at init.
+func NewHeap[K cmp.Ordered](n int, init K) *Heap[K] {
+	h := &Heap[K]{
+		key:  make([]K, n),
 		heap: make([]int, n),
 		pos:  make([]int, n),
 	}
 	for i := 0; i < n; i++ {
-		h.key[i] = simtime.Infinity
+		h.key[i] = init
 		h.heap[i] = i
 		h.pos[i] = i
 	}
 	return h
 }
 
-// Min returns the runtime with the earliest key (lowest index on ties)
-// and that key. Runtimes with no work report simtime.Infinity.
-func (h *Heap) Min() (idx int, at simtime.Time) {
+// Min returns the index with the smallest key (lowest index on ties)
+// and that key.
+func (h *Heap[K]) Min() (idx int, key K) {
 	top := h.heap[0]
 	return top, h.key[top]
 }
 
-// Update re-keys runtime i and restores the heap invariant.
-func (h *Heap) Update(i int, at simtime.Time) {
-	if h.key[i] == at {
+// Update re-keys index i and restores the heap invariant.
+func (h *Heap[K]) Update(i int, key K) {
+	if h.key[i] == key {
 		return
 	}
-	h.key[i] = at
+	h.key[i] = key
 	p := h.pos[i]
 	if !h.up(p) {
 		h.down(p)
 	}
 }
 
-// less orders heap positions by (key, runtime index); the index
-// tie-break reproduces the old scan's first-minimum choice.
-func (h *Heap) less(a, b int) bool {
+// less orders heap positions by (key, index); the index tie-break
+// reproduces the scan's first-minimum choice.
+func (h *Heap[K]) less(a, b int) bool {
 	ha, hb := h.heap[a], h.heap[b]
 	if h.key[ha] != h.key[hb] {
 		return h.key[ha] < h.key[hb]
@@ -63,13 +63,13 @@ func (h *Heap) less(a, b int) bool {
 	return ha < hb
 }
 
-func (h *Heap) swap(a, b int) {
+func (h *Heap[K]) swap(a, b int) {
 	h.heap[a], h.heap[b] = h.heap[b], h.heap[a]
 	h.pos[h.heap[a]] = a
 	h.pos[h.heap[b]] = b
 }
 
-func (h *Heap) up(i int) bool {
+func (h *Heap[K]) up(i int) bool {
 	moved := false
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -83,7 +83,7 @@ func (h *Heap) up(i int) bool {
 	return moved
 }
 
-func (h *Heap) down(i int) {
+func (h *Heap[K]) down(i int) {
 	n := len(h.heap)
 	for {
 		l, r := 2*i+1, 2*i+2

@@ -13,7 +13,7 @@ import (
 // ties by lowest runtime index) after every update.
 func TestHeapMatchesScan(t *testing.T) {
 	const hosts = 9
-	h := NewHeap(hosts)
+	h := NewHeap(hosts, simtime.Infinity)
 	keys := make([]simtime.Time, hosts)
 	for i := range keys {
 		keys[i] = simtime.Infinity

@@ -54,6 +54,7 @@ func GatedBenchmarks() []string {
 		"trace-binary-encode",
 		"predicted-dispatch",
 		"host-pipeline",
+		"dispatch-1k",
 	}
 }
 
@@ -276,6 +277,41 @@ func Scenarios(quick bool, seed uint64) []Scenario {
 						NewScheduler: func() cpusim.Scheduler { return core.New(core.DefaultConfig()) },
 						Dispatcher:   d,
 						Shards:       8,
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
+					src := workload.AzureSampledStream(workload.AzureSampledSpec{
+						N: n, Cores: hosts * cores, Load: 1.0, Seed: seed,
+					})
+					if _, err := cl.Run(src); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(n*b.N)/b.Elapsed().Seconds(), "tasks/s")
+			},
+		},
+		{
+			// One op = a serial 1024-host × 2-core fleet run under JSQ:
+			// the dispatch-bound regime, where every pick reads the
+			// fleet load index and every host event re-keys it. Per-pick
+			// cost must stay sub-linear in the fleet size; a policy or
+			// view read that falls back to scanning the fleet shows up
+			// here first.
+			Name: "dispatch-1k",
+			Bench: func(b *testing.B) {
+				const hosts, cores = 1024, 2
+				n := size(quick, 64000)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					d, err := cluster.NewDispatcher("JSQ", cluster.FactoryConfig{Hosts: hosts, Seed: seed})
+					if err != nil {
+						b.Fatal(err)
+					}
+					cl, err := cluster.New(cluster.Config{
+						Hosts: hosts, CoresPerHost: cores,
+						NewScheduler: func() cpusim.Scheduler { return core.New(core.DefaultConfig()) },
+						Dispatcher:   d,
 					})
 					if err != nil {
 						b.Fatal(err)

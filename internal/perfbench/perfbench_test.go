@@ -126,7 +126,7 @@ func TestScenariosComplete(t *testing.T) {
 	}
 	for _, want := range []string{EngineStepBenchmark, "cluster-dispatch", "sharded-cluster", "chain-run",
 		"predicted-dispatch", "trace-decode", "trace-encode", "trace-binary-decode",
-		"trace-binary-encode", "cluster-1m", "metrics-summary"} {
+		"trace-binary-encode", "cluster-1m", "metrics-summary", "dispatch-1k"} {
 		if !names[want] {
 			t.Errorf("scenario %q missing", want)
 		}

@@ -84,7 +84,7 @@ func WriteBinary(w io.Writer, src Source) (int, error) {
 			payload = append(payload, t.App...)
 		}
 		payload = binary.AppendUvarint(payload, uint64(arrUS-prevArrUS))
-		payload = binary.AppendUvarint(payload, uint64(t.Service.Microseconds()))
+		payload = binary.AppendUvarint(payload, uint64(serviceUS(t.Service)))
 		payload = binary.AppendUvarint(payload, uint64(len(t.IOOps)))
 		prevAtUS := int64(0)
 		for _, op := range t.IOOps {

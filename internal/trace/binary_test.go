@@ -249,3 +249,41 @@ func TestDetectSource(t *testing.T) {
 		t.Fatal("DetectSource(empty) succeeded")
 	}
 }
+
+// TestSubMicrosecondServiceRoundTrips: both codecs store whole
+// microseconds. A positive service under 1µs must encode as 1µs — the
+// format's resolution — never as 0, which their readers reject; longer
+// services still truncate.
+func TestSubMicrosecondServiceRoundTrips(t *testing.T) {
+	tasks := []*task.Task{
+		task.New(0, 0, 1),                            // 1ns
+		task.New(1, time.Millisecond, 999),           // just under 1µs
+		task.New(2, 2*time.Millisecond, 1500),        // 1.5µs truncates to 1µs
+		task.New(3, 3*time.Millisecond, time.Second), // unaffected
+	}
+	want := []time.Duration{time.Microsecond, time.Microsecond, time.Microsecond, time.Second}
+	for _, codec := range []struct {
+		name  string
+		write func(*bytes.Buffer) error
+		read  func(*bytes.Buffer) ([]*task.Task, error)
+	}{
+		{"binary", func(b *bytes.Buffer) error { _, err := WriteBinary(b, FromTasks("sub-us", tasks)); return err },
+			func(b *bytes.Buffer) ([]*task.Task, error) { return ReadBinary(b) }},
+		{"csv", func(b *bytes.Buffer) error { _, err := WriteCSV(b, FromTasks("sub-us", tasks)); return err },
+			func(b *bytes.Buffer) ([]*task.Task, error) { return ReadCSV(b) }},
+	} {
+		var buf bytes.Buffer
+		if err := codec.write(&buf); err != nil {
+			t.Fatalf("%s: write: %v", codec.name, err)
+		}
+		got, err := codec.read(&buf)
+		if err != nil {
+			t.Fatalf("%s: reader rejected the writer's output: %v", codec.name, err)
+		}
+		for i, tk := range got {
+			if tk.Service != want[i] {
+				t.Errorf("%s: task %d service %v, want %v", codec.name, i, tk.Service, want[i])
+			}
+		}
+	}
+}

@@ -80,7 +80,7 @@ func appendRecord(buf []byte, t *task.Task) []byte {
 	buf = append(buf, ',')
 	buf = strconv.AppendInt(buf, t.Arrival.Microseconds(), 10)
 	buf = append(buf, ',')
-	buf = strconv.AppendInt(buf, t.Service.Microseconds(), 10)
+	buf = strconv.AppendInt(buf, serviceUS(t.Service), 10)
 	buf = append(buf, ',')
 	for i, op := range t.IOOps {
 		if i > 0 {
@@ -91,6 +91,17 @@ func appendRecord(buf []byte, t *task.Task) []byte {
 		buf = strconv.AppendInt(buf, op.Dur.Microseconds(), 10)
 	}
 	return append(buf, '\n')
+}
+
+// serviceUS renders a service demand at the codecs' 1µs resolution.
+// Like every other field it truncates, except that a positive demand
+// under 1µs encodes as 1µs: truncating it to 0 would write a record
+// the readers reject as a non-positive service.
+func serviceUS(d time.Duration) int64 {
+	if us := d.Microseconds(); us > 0 || d <= 0 {
+		return us
+	}
+	return 1
 }
 
 // appendField appends a free-form field (the app name), quoting it
