@@ -9,7 +9,8 @@
 // benchmark (perfbench.GatedBenchmarks: engine-step, sharded-cluster,
 // trace-binary-decode, trace-binary-encode, predicted-dispatch,
 // host-pipeline, dispatch-1k) may be at most -max-regress slower in
-// ns/op than the baseline report, otherwise the process exits non-zero.
+// ns/op, and allocate at most perfbench.MaxAllocRegress (1%) more per
+// op, than the baseline report, otherwise the process exits non-zero.
 // Benchmarks the baseline predates are noted and skipped, so adding a
 // scenario doesn't break the gate until a baseline containing it is
 // checked in. Passing `-baseline auto` picks the lexically-newest
@@ -113,8 +114,9 @@ func main() {
 		}
 		cur, _ := rep.Find(name)
 		baseB, _ := base.Find(name)
-		fmt.Printf("regression gate vs %s passed: %s %.0f ns/op (baseline %.0f, limit +%.0f%%)\n",
-			basePath, name, cur.NsPerOp, baseB.NsPerOp, 100**maxRegress)
+		fmt.Printf("regression gate vs %s passed: %s %.0f ns/op (baseline %.0f, limit +%.0f%%), %d allocs/op (baseline %d, limit +%.0f%%)\n",
+			basePath, name, cur.NsPerOp, baseB.NsPerOp, 100**maxRegress,
+			cur.AllocsPerOp, baseB.AllocsPerOp, 100*perfbench.MaxAllocRegress)
 	}
 	if failed {
 		os.Exit(1)

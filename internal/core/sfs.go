@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"github.com/serverless-sched/sfs/internal/cpusim"
+	"github.com/serverless-sched/sfs/internal/freelist"
 	"github.com/serverless-sched/sfs/internal/sched"
 	"github.com/serverless-sched/sfs/internal/simtime"
 	"github.com/serverless-sched/sfs/internal/stats"
@@ -116,6 +117,11 @@ type worker struct {
 	ev        simtime.EventRef // pending detect (aware) or deadline (oblivious) event
 	busySince simtime.Time
 	busyTime  time.Duration // accumulated FILTER-mode core time (for the overhead model)
+
+	// onDetect and onDeadline are the worker's block-detect (aware) and
+	// slice-deadline (oblivious) callbacks, built once in Bind so arming
+	// them allocates no closure.
+	onDetect, onDeadline func(now simtime.Time)
 }
 
 // ent is SFS's per-task scheduling state.
@@ -174,7 +180,11 @@ type SFS struct {
 	haveArrival bool
 	sinceRecalc int
 
+	// ents holds the state of tasks still at the FILTER level; an entry
+	// goes back to free when its task finishes there or is handed to
+	// the second level.
 	ents map[*task.Task]*ent
+	free freelist.List[ent]
 
 	// Stat holds the run's internal counters and timelines.
 	Stat Stats
@@ -236,6 +246,10 @@ func (s *SFS) Bind(api cpusim.API) {
 	s.api = api
 	s.cfs.Bind(api)
 	s.workers = make([]worker, api.NumCores())
+	for core := range s.workers {
+		s.workers[core].onDetect = func(at simtime.Time) { s.onBlockDetected(at, core) }
+		s.workers[core].onDeadline = func(at simtime.Time) { s.onObliviousDeadline(at, core) }
+	}
 	nq := 1
 	if s.cfg.PerCoreQueue {
 		nq = api.NumCores()
@@ -269,10 +283,19 @@ func (s *SFS) QueueLen() int {
 func (s *SFS) entOf(t *task.Task) *ent {
 	e := s.ents[t]
 	if e == nil {
-		e = &ent{worker: -1, seq: -1}
+		e = s.free.Get()
+		e.worker, e.seq = -1, -1
 		s.ents[t] = e
 	}
 	return e
+}
+
+// release drops t's FILTER-level state once t leaves FILTER for good.
+func (s *SFS) release(t *task.Task) {
+	if e := s.ents[t]; e != nil {
+		delete(s.ents, t)
+		s.free.Put(e)
+	}
 }
 
 // Enqueue implements cpusim.Scheduler: requests enter the global queue;
@@ -397,6 +420,7 @@ func (s *SFS) recordDelay(now simtime.Time, t *task.Task, e *ent) {
 func (s *SFS) demote(now simtime.Time, t *task.Task) {
 	t.DemotedToCFS = true
 	s.Stat.Demotions++
+	s.release(t)
 	if t.State == task.StateRunnable {
 		s.cfs.Enqueue(now, t)
 	}
@@ -465,6 +489,7 @@ func (s *SFS) PickNext(now simtime.Time, core int) (*task.Task, time.Duration) {
 			// backlog (§V-E).
 			t.DemotedToCFS = true
 			s.Stat.OverloadRouted++
+			s.release(t)
 			s.cfs.Enqueue(now, t)
 			continue
 		}
@@ -520,7 +545,7 @@ func (s *SFS) Descheduled(now simtime.Time, core int, t *task.Task, ran time.Dur
 	case cpusim.ReasonFinished:
 		s.Stat.FilterCompletions++
 		s.detach(w, e)
-		delete(s.ents, t)
+		s.release(t)
 	case cpusim.ReasonPreempted:
 		// Slice exhausted (the engine only preempts FILTER tasks at
 		// their budget; SFS never volunteers them for preemption).
@@ -534,9 +559,7 @@ func (s *SFS) Descheduled(now simtime.Time, core int, t *task.Task, ran time.Dur
 			// worker. Until then the worker waits and only CFS can use
 			// the core.
 			w.state = wBlockWait
-			w.ev = s.api.After(s.nextPollDelay(now), func(at simtime.Time) {
-				s.onBlockDetected(at, core)
-			})
+			w.ev = s.api.After(s.nextPollDelay(now), w.onDetect)
 		} else {
 			// Oblivious mode: slice keeps ticking on the wall clock; if
 			// the deadline passes while the task sleeps it is demoted.
@@ -545,9 +568,7 @@ func (s *SFS) Descheduled(now simtime.Time, core int, t *task.Task, ran time.Dur
 			if wait < 0 {
 				wait = 0
 			}
-			w.ev = s.api.After(wait, func(at simtime.Time) {
-				s.onObliviousDeadline(at, core)
-			})
+			w.ev = s.api.After(wait, w.onDeadline)
 		}
 	}
 }
@@ -617,6 +638,11 @@ func (s *SFS) WantsPreempt(now simtime.Time, core int) bool {
 	// Delegate to CFS's own wakeup-preemption logic for CFS-vs-CFS.
 	return s.cfs.WantsPreempt(now, core)
 }
+
+// Entities returns the number of tasks SFS holds FILTER-level state
+// for; it falls to zero once every task has finished or been handed
+// to the second level.
+func (s *SFS) Entities() int { return len(s.ents) }
 
 // SecondLevel exposes the second-level scheduler (for tests, metrics,
 // and the EEVDF ablation).

@@ -7,6 +7,7 @@ import (
 	"github.com/serverless-sched/sfs/internal/core"
 	"github.com/serverless-sched/sfs/internal/cpusim"
 	"github.com/serverless-sched/sfs/internal/dist"
+	"github.com/serverless-sched/sfs/internal/sched"
 	"github.com/serverless-sched/sfs/internal/task"
 	"github.com/serverless-sched/sfs/internal/workload"
 )
@@ -403,5 +404,59 @@ func TestWorkloadIntegrationWithIOKnob(t *testing.T) {
 	_ = s
 	if eng.Pending() != 0 {
 		t.Fatal("unfinished tasks")
+	}
+}
+
+// TestSFSReleasesStateOfEveryTask: once every task has finished, no
+// level holds per-task state — SFS drops a task's FILTER state when it
+// finishes there, is demoted (slice exhausted, block detected, past its
+// oblivious deadline) or is overload-routed, and the second level drops
+// its entity when the task finishes.
+func TestSFSReleasesStateOfEveryTask(t *testing.T) {
+	oblivious := core.DefaultConfig()
+	oblivious.IOAware = false
+	perCore := core.DefaultConfig()
+	perCore.PerCoreQueue = true
+	onEEVDF := core.DefaultConfig()
+	onEEVDF.SecondLevel = sched.NewEEVDF(sched.EEVDFConfig{})
+	overload := core.DefaultConfig()
+	overload.FixedSlice = ms(20) // O×S = 60 ms, far below the burst's queueing delay
+	cases := []struct {
+		name     string
+		cfg      core.Config
+		overload bool // prepend a burst that must trip the hybrid overload route
+	}{
+		{"aware", core.DefaultConfig(), false},
+		{"oblivious", oblivious, false},
+		{"hybrid-overload", overload, true},
+		{"per-core-queue", perCore, false},
+		{"on-EEVDF", onEEVDF, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w := workload.Generate(workload.Spec{N: 1000, Cores: 4, Load: 0.9, Seed: 42, IOFraction: 0.3})
+			tasks := w.Clone()
+			for i := 0; tc.overload && i < 200; i++ {
+				tasks = append(tasks, task.New(len(tasks), 0, ms(15)))
+			}
+			s, eng := runSFS(t, tc.cfg, 4, tasks...)
+			if eng.Pending() != 0 {
+				t.Fatalf("%d tasks unfinished", eng.Pending())
+			}
+			if s.Stat.Demotions == 0 {
+				t.Fatal("no demotions: the run does not exercise the demote path")
+			}
+			if tc.overload && s.Stat.OverloadRouted == 0 {
+				t.Fatal("no overload routing: the run does not exercise the hybrid path")
+			}
+			if n := s.Entities(); n != 0 {
+				t.Errorf("SFS still holds state for %d tasks (%d demoted, %d overload-routed)",
+					n, s.Stat.Demotions, s.Stat.OverloadRouted)
+			}
+			second := s.SecondLevel().(interface{ Entities() int })
+			if n := second.Entities(); n != 0 {
+				t.Errorf("%s still holds %d entities", s.SecondLevel().Name(), n)
+			}
+		})
 	}
 }

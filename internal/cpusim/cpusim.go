@@ -160,6 +160,11 @@ type Engine struct {
 	aborted        bool
 	tracer         func(TraceEvent)
 	speed          float64 // normalized Config.Speed (never 0)
+
+	// arriveFn and wakeFn are the arrival and I/O-wake callbacks, built
+	// once like coreState.fire; their events carry the task as payload,
+	// so Submit and blocking allocate no closure per task.
+	arriveFn, wakeFn func(now simtime.Time, arg any)
 }
 
 // NewEngine constructs an engine for the given scheduler. It panics on a
@@ -187,6 +192,8 @@ func NewEngine(cfg Config, s Scheduler) *Engine {
 			e.coreEvent(now, i, e.cores[i].fireReason)
 		}
 	}
+	e.arriveFn = func(now simtime.Time, arg any) { e.arrive(now, arg.(*task.Task)) }
+	e.wakeFn = func(now simtime.Time, arg any) { e.wake(now, arg.(*task.Task)) }
 	s.Bind(e)
 	return e
 }
@@ -235,13 +242,12 @@ func (e *Engine) Reschedule(core int) {
 // Arrival times. Must be called before Run.
 func (e *Engine) Submit(tasks ...*task.Task) {
 	for _, t := range tasks {
-		t := t
 		if err := t.Validate(); err != nil {
 			panic(err)
 		}
 		e.tasks = append(e.tasks, t)
 		e.pending++
-		e.q.At(t.Arrival, func(now simtime.Time) { e.arrive(now, t) })
+		e.q.AtArg(t.Arrival, e.arriveFn, t)
 	}
 }
 
@@ -320,6 +326,15 @@ func (e *Engine) BusyTime() time.Duration {
 // arrive handles a task arrival event.
 func (e *Engine) arrive(now simtime.Time, t *task.Task) {
 	t.MarkReady(now)
+	e.sched.Enqueue(now, t)
+	e.afterEnqueue(now, t)
+}
+
+// wake handles the end of t's I/O block: the task becomes runnable
+// again and is re-delivered to the scheduler.
+func (e *Engine) wake(now simtime.Time, t *task.Task) {
+	t.MarkWoken(now, t.LastIO().Dur)
+	e.trace(TraceWake, -1, t)
 	e.sched.Enqueue(now, t)
 	e.afterEnqueue(now, t)
 }
@@ -537,15 +552,9 @@ func (e *Engine) coreEvent(now simtime.Time, core int, reason DescheduleReason) 
 		}
 		t.PopIO()
 		t.MarkSleeping(now)
-		dur := io.Dur
 		e.trace(TraceBlock, core, t)
 		e.sched.Descheduled(now, core, t, ran, ReasonBlocked)
-		e.q.After(dur, func(wake simtime.Time) {
-			t.MarkWoken(wake, dur)
-			e.trace(TraceWake, -1, t)
-			e.sched.Enqueue(wake, t)
-			e.afterEnqueue(wake, t)
-		})
+		e.q.AtArg(now+io.Dur, e.wakeFn, t)
 	case ReasonPreempted:
 		// Slice expiry. The scheduler accounts the stint and picks the
 		// successor; if it re-picks the same task this is a slice

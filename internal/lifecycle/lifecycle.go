@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"github.com/serverless-sched/sfs/internal/dist"
+	"github.com/serverless-sched/sfs/internal/freelist"
 	"github.com/serverless-sched/sfs/internal/metrics"
 	"github.com/serverless-sched/sfs/internal/rng"
 	"github.com/serverless-sched/sfs/internal/simtime"
@@ -163,16 +164,19 @@ const (
 )
 
 // event is one entry of the Manager's lazy (time, sequence)-ordered
-// queue. Expiry events are invalidated by clearing c.expires when the
-// container is reused; pre-warm events carry the app and idle window.
+// queue. An expiry event is queued exactly while it is its idle
+// container's c.expires, and a pre-warm event exactly while it is its
+// app's pending entry: reusing or evicting a container removes its
+// expiry from the queue at once. An event that leaves the queue is
+// recycled by the next newEvent, so nothing may point at it then.
 type event struct {
 	at   simtime.Time
 	seq  uint64
+	idx  int // position in the heap
 	kind eventKind
 	c    *Container    // evExpire target
 	app  string        // evPrewarm application
 	keep time.Duration // evPrewarm idle window once materialized
-	dead bool
 }
 
 // eventHeap is a min-heap by (at, seq) so same-instant events fire in
@@ -186,8 +190,15 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
+func (h eventHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].idx, h[j].idx = i, j
+}
+func (h *eventHeap) Push(x any) {
+	e := x.(*event)
+	e.idx = len(*h)
+	*h = append(*h, e)
+}
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -206,6 +217,7 @@ type Manager struct {
 	idle     map[string][]*Container // per-app idle pool, most recent last
 	pending  map[string]*event       // at most one scheduled pre-warm per app
 	events   eventHeap
+	free     freelist.List[event] // events that left the queue
 	seq      uint64
 	now      simtime.Time
 	usedMB   int
@@ -277,26 +289,29 @@ func (m *Manager) AdvanceTo(now simtime.Time) {
 	}
 	for len(m.events) > 0 && m.events[0].at <= now {
 		e := heap.Pop(&m.events).(*event)
-		if e.dead {
-			continue
-		}
 		switch e.kind {
 		case evExpire:
 			c := e.c
-			if c.dead || c.busy || c.expires != e {
-				continue
-			}
 			c.expires = nil
 			m.removeIdle(c)
 			m.destroy(c)
 			m.stats.Expirations++
 		case evPrewarm:
-			if m.pending[e.app] == e {
-				delete(m.pending, e.app)
-			}
+			delete(m.pending, e.app)
 			m.materializePrewarm(e)
 		}
+		m.free.Put(e)
 	}
+}
+
+// newEvent queues a timeline event at at with the next sequence
+// number, reusing a recycled event struct when one is free.
+func (m *Manager) newEvent(at simtime.Time, kind eventKind) *event {
+	e := m.free.Get()
+	e.at, e.seq, e.kind = at, m.seq, kind
+	m.seq++
+	heap.Push(&m.events, e)
+	return e
 }
 
 // Acquire requests a container for app at virtual time now. On a warm
@@ -448,18 +463,18 @@ func (m *Manager) scheduleExpiry(now simtime.Time, c *Container, keep time.Durat
 		c.expires = nil
 		return
 	}
-	e := &event{at: now + keep, seq: m.seq, kind: evExpire, c: c}
-	m.seq++
+	e := m.newEvent(now+keep, evExpire)
+	e.c = c
 	c.expires = e
-	heap.Push(&m.events, e)
 }
 
-// cancelExpiry invalidates a pending expiry when a container is reused
-// or evicted early.
+// cancelExpiry removes a pending expiry from the queue when a
+// container is reused or evicted early.
 func (m *Manager) cancelExpiry(c *Container) {
-	if c.expires != nil {
-		c.expires.dead = true
+	if e := c.expires; e != nil {
+		heap.Remove(&m.events, e.idx)
 		c.expires = nil
+		m.free.Put(e)
 	}
 }
 
@@ -468,10 +483,9 @@ func (m *Manager) schedulePrewarm(now simtime.Time, app string, d Decision) {
 	if m.pending[app] != nil {
 		return
 	}
-	e := &event{at: now + d.PrewarmIn, seq: m.seq, kind: evPrewarm, app: app, keep: d.PrewarmFor}
-	m.seq++
+	e := m.newEvent(now+d.PrewarmIn, evPrewarm)
+	e.app, e.keep = app, d.PrewarmFor
 	m.pending[app] = e
-	heap.Push(&m.events, e)
 }
 
 // materializePrewarm creates the pre-warmed idle container if it fits

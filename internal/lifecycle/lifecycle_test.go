@@ -284,3 +284,39 @@ func TestNewValidation(t *testing.T) {
 		t.Fatalf("default policy %s, want TTL", m.Policy().Name())
 	}
 }
+
+// TestEventRecycling: reusing a container removes its expiry from the
+// queue at once and recycles the event, so a warm acquire/release cycle
+// allocates nothing, and a recycled event serves its new expiry
+// without disturbing any other container's.
+func TestEventRecycling(t *testing.T) {
+	m := constMgr(t, Config{Policy: NewFixedTTL(ms(100))})
+	_, a := m.Acquire(0, "a")
+	_, b := m.Acquire(0, "b")
+	m.Release(ms(10), a) // a expires at 110
+	m.Release(ms(20), b) // b expires at 120
+	m.Acquire(ms(30), "a")
+	if len(m.events) != 1 || len(m.free) != 1 {
+		t.Fatalf("after reusing a: %d queued, %d free events; want b's expiry queued and a's recycled",
+			len(m.events), len(m.free))
+	}
+	m.Release(ms(40), a) // a's new expiry, at 140, reuses the recycled event
+	m.AdvanceTo(ms(130))
+	if st := m.Stats(); st.Expirations != 1 || m.WarmIdle("b") != 0 || m.WarmIdle("a") != 1 {
+		t.Fatalf("at 130ms: %d expirations, %d idle b, %d idle a; want b expired and a warm",
+			st.Expirations, m.WarmIdle("b"), m.WarmIdle("a"))
+	}
+	m.AdvanceTo(ms(140))
+	if m.WarmIdle("a") != 0 || len(m.events) != 0 {
+		t.Fatal("a outlived its keep-alive window")
+	}
+
+	now := ms(1000)
+	if n := testing.AllocsPerRun(200, func() {
+		now += ms(30)
+		_, c := m.Acquire(now, "a")
+		m.Release(now+ms(1), c)
+	}); n != 0 {
+		t.Fatalf("warm acquire/release cycle allocated %v times", n)
+	}
+}

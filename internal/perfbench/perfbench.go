@@ -7,7 +7,8 @@
 // quick scale (Compare refuses quick-vs-full comparisons); CI
 // regenerates the measurements on every push and fails when any gated
 // benchmark (see GatedBenchmarks) regresses more than a configured
-// fraction against the newest checked-in baseline (see Compare).
+// fraction in ns/op, or more than MaxAllocRegress in allocs/op, against
+// the newest checked-in baseline (see Compare).
 //
 // The scenarios are ordinary testing.B functions, so `go test -bench`
 // exercises the exact same code through bench_test.go while cmd/perfbench
@@ -17,6 +18,7 @@ package perfbench
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -57,6 +59,13 @@ func GatedBenchmarks() []string {
 		"dispatch-1k",
 	}
 }
+
+// MaxAllocRegress is the allocation gate: a gated benchmark fails when
+// its allocs/op exceeds the baseline's by more than this fraction.
+// Unlike ns/op, allocation counts do not depend on the machine and
+// repeat within a couple of allocations run to run, so the band is a
+// fixed constant rather than a flag.
+const MaxAllocRegress = 0.01
 
 // Options parameterizes a harness run.
 type Options struct {
@@ -702,7 +711,8 @@ func (r *Report) Find(name string) (Benchmark, bool) {
 
 // Compare enforces the regression gate: current's benchmark `name` may
 // be at most maxRegress (e.g. 0.25 for +25%) slower in ns/op than
-// baseline's. When both reports carry a calibration measurement, the
+// baseline's, and may allocate at most MaxAllocRegress more per op.
+// When both reports carry a calibration measurement, the
 // current ns/op is first normalized by the machine-speed ratio
 // (currentCalib / baselineCalib), so a baseline recorded on different
 // hardware — e.g. the checked-in trajectory point vs a CI runner —
@@ -731,12 +741,17 @@ func Compare(current, baseline *Report, name string, maxRegress float64) error {
 		normalized = cur.NsPerOp * baseline.CalibrationNsPerOp / current.CalibrationNsPerOp
 		how = "calibration-normalized"
 	}
+	var errs []error
 	limit := base.NsPerOp * (1 + maxRegress)
 	if normalized > limit {
-		return fmt.Errorf("perfbench: %s regressed: %.0f ns/op %s (raw %.0f) vs baseline %.0f ns/op (limit %.0f, +%.0f%%)",
-			name, normalized, how, cur.NsPerOp, base.NsPerOp, limit, 100*(normalized/base.NsPerOp-1))
+		errs = append(errs, fmt.Errorf("perfbench: %s regressed: %.0f ns/op %s (raw %.0f) vs baseline %.0f ns/op (limit %.0f, +%.0f%%)",
+			name, normalized, how, cur.NsPerOp, base.NsPerOp, limit, 100*(normalized/base.NsPerOp-1)))
 	}
-	return nil
+	if allocLimit := float64(base.AllocsPerOp) * (1 + MaxAllocRegress); float64(cur.AllocsPerOp) > allocLimit {
+		errs = append(errs, fmt.Errorf("perfbench: %s allocates more: %d allocs/op vs baseline %d (limit %.0f, +%.0f%%)",
+			name, cur.AllocsPerOp, base.AllocsPerOp, allocLimit, 100*MaxAllocRegress))
+	}
+	return errors.Join(errs...)
 }
 
 // LatestBaseline returns the lexically-newest BENCH_*.json in dir (the

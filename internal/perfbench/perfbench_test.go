@@ -29,6 +29,32 @@ func TestCompareGate(t *testing.T) {
 	}
 }
 
+// TestCompareAllocGate: allocs/op may exceed the baseline by at most
+// MaxAllocRegress, whatever the ns/op band or machine calibration.
+func TestCompareAllocGate(t *testing.T) {
+	bench := func(calib float64, allocs int64) *Report {
+		return &Report{Quick: true, CalibrationNsPerOp: calib,
+			Benchmarks: []Benchmark{{Name: EngineStepBenchmark, NsPerOp: 1000, AllocsPerOp: allocs}}}
+	}
+	base := bench(1000, 1000)
+	if err := Compare(bench(1000, 1010), base, EngineStepBenchmark, 0.25); err != nil {
+		t.Fatalf("+1%% allocs should pass: %v", err)
+	}
+	if err := Compare(bench(1000, 1011), base, EngineStepBenchmark, 0.25); err == nil {
+		t.Fatal("+1.1% allocs must fail")
+	}
+	// A slower machine forgives ns/op, never allocations.
+	if err := Compare(bench(2000, 1100), base, EngineStepBenchmark, 0.25); err == nil {
+		t.Fatal("calibration must not normalize allocation counts")
+	}
+	if err := Compare(bench(1000, 10), base, EngineStepBenchmark, 0.25); err != nil {
+		t.Fatalf("fewer allocations must pass: %v", err)
+	}
+	if err := Compare(bench(1000, 1), bench(1000, 0), EngineStepBenchmark, 0.25); err == nil {
+		t.Fatal("an allocation-free baseline must stay allocation-free")
+	}
+}
+
 // TestCompareCalibrationNormalized: when both reports carry a machine
 // calibration, the gate judges the speed ratio, not raw ns/op — a slow
 // machine is forgiven, a fast machine cannot hide a real regression.

@@ -14,6 +14,14 @@
 // of several equal-key entries is exact. The tree is not safe for
 // concurrent use; schedulers are single-threaded inside the simulator's
 // event loop by design.
+//
+// Nodes are recycled, the way Linux embeds the tree node in
+// sched_entity instead of allocating one per enqueue: Delete and PopMin
+// zero the removed node and keep it on the tree's free list, and the
+// next Insert reuses it. A *Node is therefore invalid once it leaves
+// the tree — it may already hold another value — so callers must drop
+// their handle when they Delete or PopMin it. A runqueue that churns at
+// a steady depth allocates no nodes at all.
 package rbtree
 
 type color bool
@@ -34,6 +42,7 @@ type Node[V any] struct {
 type Tree[V any] struct {
 	root *Node[V]
 	min  *Node[V] // cached leftmost node
+	free *Node[V] // deleted nodes awaiting reuse, linked through parent
 	size int
 	less func(a, b V) bool
 }
@@ -54,9 +63,15 @@ func (t *Tree[V]) Len() int { return t.size }
 func (t *Tree[V]) Min() *Node[V] { return t.min }
 
 // Insert adds v and returns its node handle, which remains valid until the
-// node is deleted.
+// node is deleted. It reuses a deleted node when one is free.
 func (t *Tree[V]) Insert(v V) *Node[V] {
-	n := &Node[V]{Value: v, color: red}
+	n := t.free
+	if n != nil {
+		t.free = n.parent
+		n.parent, n.Value, n.color = nil, v, red
+	} else {
+		n = &Node[V]{Value: v, color: red}
+	}
 	if t.root == nil {
 		n.color = black
 		t.root = n
@@ -91,8 +106,9 @@ func (t *Tree[V]) Insert(v V) *Node[V] {
 	return n
 }
 
-// Delete removes node n from the tree. Passing a node that is not in the
-// tree results in undefined behaviour; callers track membership.
+// Delete removes node n from the tree and recycles it: n must not be
+// used afterwards. Passing a node that is not in the tree results in
+// undefined behaviour; callers track membership.
 func (t *Tree[V]) Delete(n *Node[V]) {
 	if n == nil {
 		return
@@ -136,7 +152,9 @@ func (t *Tree[V]) Delete(n *Node[V]) {
 	if yOriginalColor == black {
 		t.deleteFixup(x, xParent)
 	}
-	n.parent, n.left, n.right = nil, nil, nil
+	var zero V
+	n.Value, n.left, n.right = zero, nil, nil
+	n.parent, t.free = t.free, n
 }
 
 // PopMin removes and returns the smallest node's value. The second result

@@ -182,6 +182,79 @@ func TestRandomOpsInvariants(t *testing.T) {
 	}
 }
 
+// TestNodeReuse interleaves random inserts, deletes and PopMins: every
+// Insert after a removal reuses the most recently removed node, the
+// tree stays valid throughout, a removed node drops its Value (so the
+// free list pins no caller data), and the tree never holds more nodes
+// than its peak size.
+func TestNodeReuse(t *testing.T) {
+	r := rng.New(7)
+	tr := New(func(a, b *int) bool { return *a < *b })
+	var live []*Node[*int]
+	var freed []*Node[*int] // removed nodes, most recent last
+	distinct := map[*Node[*int]]bool{}
+	peak := 0
+	check := func(step int, removed *Node[*int]) {
+		t.Helper()
+		if removed != nil && removed.Value != nil {
+			t.Fatalf("step %d: removed node still holds %d", step, *removed.Value)
+		}
+		if ok, msg := tr.CheckInvariants(); !ok {
+			t.Fatalf("step %d: %s", step, msg)
+		}
+		if tr.Len() != len(live) {
+			t.Fatalf("step %d: len %d want %d", step, tr.Len(), len(live))
+		}
+	}
+	for step := 0; step < 4000; step++ {
+		switch op := r.Float64(); {
+		case len(live) == 0 || op < 0.5:
+			v := r.Intn(32)
+			n := tr.Insert(&v)
+			if k := len(freed); k > 0 {
+				if n != freed[k-1] {
+					t.Fatalf("step %d: Insert allocated although %d removed nodes were free", step, k)
+				}
+				freed = freed[:k-1]
+			}
+			if n.Value != &v {
+				t.Fatalf("step %d: reused node does not hold the inserted value", step)
+			}
+			live = append(live, n)
+			distinct[n] = true
+			check(step, nil)
+		case op < 0.75:
+			i := r.Intn(len(live))
+			n := live[i]
+			tr.Delete(n)
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+			freed = append(freed, n)
+			check(step, n)
+		default:
+			n := tr.Min()
+			if _, ok := tr.PopMin(); !ok {
+				t.Fatalf("step %d: PopMin on a non-empty tree failed", step)
+			}
+			for i := range live {
+				if live[i] == n {
+					live[i] = live[len(live)-1]
+					live = live[:len(live)-1]
+					break
+				}
+			}
+			freed = append(freed, n)
+			check(step, n)
+		}
+		if len(live) > peak {
+			peak = len(live)
+		}
+	}
+	if len(distinct) != peak {
+		t.Fatalf("allocated %d distinct nodes for a peak of %d live", len(distinct), peak)
+	}
+}
+
 // TestQuickSortedDrain uses testing/quick: inserting any []uint8 and
 // draining via PopMin yields the sorted input.
 func TestQuickSortedDrain(t *testing.T) {

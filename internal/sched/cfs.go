@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/serverless-sched/sfs/internal/cpusim"
+	"github.com/serverless-sched/sfs/internal/freelist"
 	"github.com/serverless-sched/sfs/internal/rbtree"
 	"github.com/serverless-sched/sfs/internal/simtime"
 	"github.com/serverless-sched/sfs/internal/task"
@@ -73,6 +74,7 @@ type CFS struct {
 	rqs  []runqueue
 	cur  []*cfsEnt // per-core currently running entity (nil if none)
 	ents map[*task.Task]*cfsEnt
+	free freelist.List[cfsEnt]
 
 	// Stats.
 	Steals int64 // idle-balance migrations between runqueues
@@ -155,7 +157,8 @@ func (c *CFS) leastLoaded() int {
 func (c *CFS) Enqueue(now simtime.Time, t *task.Task) {
 	ent := c.ents[t]
 	if ent == nil {
-		ent = &cfsEnt{t: t}
+		ent = c.free.Get()
+		ent.t = t
 		c.ents[t] = ent
 	}
 	rq := c.leastLoaded()
@@ -260,6 +263,7 @@ func (c *CFS) Descheduled(now simtime.Time, core int, t *task.Task, ran time.Dur
 		// Entity leaves the queue; vruntime is retained for wake placement.
 	case cpusim.ReasonFinished:
 		delete(c.ents, t)
+		c.free.Put(ent)
 	}
 	c.updateMin(core)
 }
@@ -303,6 +307,11 @@ func (c *CFS) WantsPreempt(now simtime.Time, core int) bool {
 	liveVR := cur.vr + weighted(c.api.RanFor(core), cur.t.Weight)
 	return liveVR-leftmost.Value.vr > c.cfg.WakeupGranularity
 }
+
+// Entities returns the number of tasks CFS holds an entity for
+// (queued, running or sleeping); it falls to zero once every task
+// has finished.
+func (c *CFS) Entities() int { return len(c.ents) }
 
 // Runnable returns the queued entity count on core's runqueue (excluding
 // the running task); exposed for SFS and tests.

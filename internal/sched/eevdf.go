@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"github.com/serverless-sched/sfs/internal/cpusim"
+	"github.com/serverless-sched/sfs/internal/freelist"
 	"github.com/serverless-sched/sfs/internal/rbtree"
 	"github.com/serverless-sched/sfs/internal/simtime"
 	"github.com/serverless-sched/sfs/internal/task"
@@ -58,6 +59,7 @@ type EEVDF struct {
 	rqs  []eevdfRQ
 	cur  []*eevdfEnt
 	ents map[*task.Task]*eevdfEnt
+	free freelist.List[eevdfEnt]
 
 	// Steals counts idle-balance migrations.
 	Steals int64
@@ -144,7 +146,8 @@ func (e *EEVDF) removeNode(ent *eevdfEnt) {
 func (e *EEVDF) Enqueue(now simtime.Time, t *task.Task) {
 	ent := e.ents[t]
 	if ent == nil {
-		ent = &eevdfEnt{t: t}
+		ent = e.free.Get()
+		ent.t = t
 		e.ents[t] = ent
 	}
 	rq := e.leastLoaded()
@@ -248,8 +251,14 @@ func (e *EEVDF) Descheduled(now simtime.Time, core int, t *task.Task, ran time.D
 		// Lag is retained for the wake-time clamp.
 	case cpusim.ReasonFinished:
 		delete(e.ents, t)
+		e.free.Put(ent)
 	}
 }
+
+// Entities returns the number of tasks EEVDF holds an entity for
+// (queued, running or sleeping); it falls to zero once every task
+// has finished.
+func (e *EEVDF) Entities() int { return len(e.ents) }
 
 // WantsPreempt implements cpusim.Scheduler: a queued eligible entity
 // with an earlier virtual deadline than the running one preempts it.

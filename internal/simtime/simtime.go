@@ -18,8 +18,11 @@
 // re-arm timers without bookkeeping.
 //
 // Event structs are pooled: once an event fires or is cancelled, its
-// struct is recycled for a later At/After call, so steady-state
-// simulations allocate no event memory at all. Handles are therefore
+// struct is recycled for a later At/After call. An event that needs
+// per-instance data carries it as a payload (AtArg) instead of in a
+// fresh closure, so a caller that builds its callbacks once schedules
+// events without allocating, and steady-state simulations allocate no
+// event memory at all. Handles are therefore
 // value-type EventRefs carrying a generation counter — a ref to a
 // recycled event simply stops matching, which keeps Cancel on stale
 // handles a safe no-op instead of a use-after-free on someone else's
@@ -35,11 +38,13 @@ type Time = time.Duration
 // will schedule.
 const Infinity Time = 1<<63 - 1
 
-// Event is a callback scheduled to fire at a virtual time. Event structs
-// are owned and recycled by the Queue; callers hold EventRef handles.
+// Event is a callback scheduled to fire at a virtual time: fn(now, arg).
+// Event structs are owned and recycled by the Queue; callers hold
+// EventRef handles.
 type Event struct {
 	At   Time
-	Fn   func(now Time)
+	fn   func(now Time, arg any)
+	arg  any
 	seq  uint64
 	idx  int // heap index; -1 when not queued
 	gen  uint32
@@ -101,7 +106,7 @@ func (q *Queue) alloc() *Event {
 // generation so outstanding refs to its previous life go stale.
 func (q *Queue) release(e *Event) {
 	e.gen++
-	e.Fn = nil
+	e.fn, e.arg = nil, nil
 	q.free = append(q.free, e)
 }
 
@@ -110,11 +115,22 @@ func (q *Queue) release(e *Event) {
 // Step; this is valid and used for "immediate" follow-up work. The returned
 // EventRef may be passed to Cancel.
 func (q *Queue) At(at Time, fn func(now Time)) EventRef {
+	return q.AtArg(at, callFn, fn)
+}
+
+// callFn adapts At's payload-free callback, carried as the payload.
+func callFn(now Time, fn any) { fn.(func(now Time))(now) }
+
+// AtArg schedules fn(now, arg) at absolute virtual time at, with At's
+// clamping and ordering. Passing per-event data as arg lets a caller
+// reuse one long-lived fn instead of allocating a closure per event;
+// a pointer (or func) arg is stored without allocating.
+func (q *Queue) AtArg(at Time, fn func(now Time, arg any), arg any) EventRef {
 	if at < q.now {
 		at = q.now
 	}
 	e := q.alloc()
-	e.At, e.Fn, e.seq, e.dead = at, fn, q.seq, false
+	e.At, e.fn, e.arg, e.seq, e.dead = at, fn, arg, q.seq, false
 	q.seq++
 	q.sched++
 	q.push(e)
@@ -165,9 +181,9 @@ func (q *Queue) Step() bool {
 		q.now = e.At
 		e.dead = true
 		q.fired++
-		fn := e.Fn
+		fn, arg := e.fn, e.arg
 		q.release(e)
-		fn(q.now)
+		fn(q.now, arg)
 		return true
 	}
 	return false

@@ -257,3 +257,35 @@ func BenchmarkScheduleFireAllocs(b *testing.B) {
 		q.Step()
 	}
 }
+
+// TestAtArgPayload: AtArg events share At's (time, sequence) order,
+// receive their payload, and a fired event drops its payload; a
+// pointer payload with a reused callback schedules without allocating.
+func TestAtArgPayload(t *testing.T) {
+	q := &Queue{}
+	var got []int
+	fn := func(_ Time, arg any) { got = append(got, *arg.(*int)) }
+	one, two, three := 1, 2, 3
+	q.AtArg(time.Millisecond, fn, &two)
+	q.At(0, func(Time) { got = append(got, 0) })
+	q.AtArg(0, fn, &one)
+	q.AtArg(time.Millisecond, fn, &three)
+	q.RunAll()
+	if len(got) != 4 || got[0] != 0 || got[1] != 1 || got[2] != 2 || got[3] != 3 {
+		t.Fatalf("fired %v, want [0 1 2 3]", got)
+	}
+	for _, e := range q.free {
+		if e.arg != nil || e.fn != nil {
+			t.Fatal("recycled event still holds its callback or payload")
+		}
+	}
+	noop, noArg := func(Time, any) {}, func(Time) {}
+	if n := testing.AllocsPerRun(100, func() {
+		q.AtArg(q.Now()+time.Millisecond, noop, &one)
+		q.At(q.Now()+time.Millisecond, noArg)
+		q.Step()
+		q.Step()
+	}); n != 0 {
+		t.Fatalf("At/AtArg+Step allocated %v times per pair of events", n)
+	}
+}

@@ -123,6 +123,15 @@ func (t *Task) NextIO() *IOOp {
 // PopIO consumes the next pending I/O op.
 func (t *Task) PopIO() { t.nextIO++ }
 
+// LastIO returns the most recently consumed I/O op — the one a
+// sleeping task is blocked on — or nil if none has been consumed.
+func (t *Task) LastIO() *IOOp {
+	if t.nextIO == 0 {
+		return nil
+	}
+	return &t.IOOps[t.nextIO-1]
+}
+
 // Remaining returns the CPU time the task still needs.
 func (t *Task) Remaining() time.Duration { return t.Service - t.CPUUsed }
 
