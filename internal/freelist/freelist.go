@@ -1,7 +1,7 @@
 // Package freelist recycles the short-lived structs of the simulator's
-// hot path — scheduler entities, keep-alive events — so a steady
-// stream of invocations allocates none of them once a list has grown
-// to the peak number in flight. It is the user-space counterpart of
+// hot path — runqueue nodes, scheduler entities, keep-alive events — so
+// a steady stream of invocations allocates none of them once a list has
+// grown to the peak number in flight. It is the user-space counterpart of
 // Linux embedding sched_entity in the task instead of allocating one
 // per wakeup.
 package freelist

@@ -24,6 +24,8 @@
 // a steady depth allocates no nodes at all.
 package rbtree
 
+import "github.com/serverless-sched/sfs/internal/freelist"
+
 type color bool
 
 const (
@@ -41,8 +43,8 @@ type Node[V any] struct {
 // Tree is a red-black tree. Construct with New.
 type Tree[V any] struct {
 	root *Node[V]
-	min  *Node[V] // cached leftmost node
-	free *Node[V] // deleted nodes awaiting reuse, linked through parent
+	min  *Node[V]               // cached leftmost node
+	free freelist.List[Node[V]] // removed nodes awaiting reuse
 	size int
 	less func(a, b V) bool
 }
@@ -65,13 +67,8 @@ func (t *Tree[V]) Min() *Node[V] { return t.min }
 // Insert adds v and returns its node handle, which remains valid until the
 // node is deleted. It reuses a deleted node when one is free.
 func (t *Tree[V]) Insert(v V) *Node[V] {
-	n := t.free
-	if n != nil {
-		t.free = n.parent
-		n.parent, n.Value, n.color = nil, v, red
-	} else {
-		n = &Node[V]{Value: v, color: red}
-	}
+	n := t.free.Get()
+	n.Value, n.color = v, red
 	if t.root == nil {
 		n.color = black
 		t.root = n
@@ -152,9 +149,7 @@ func (t *Tree[V]) Delete(n *Node[V]) {
 	if yOriginalColor == black {
 		t.deleteFixup(x, xParent)
 	}
-	var zero V
-	n.Value, n.left, n.right = zero, nil, nil
-	n.parent, t.free = t.free, n
+	t.free.Put(n)
 }
 
 // PopMin removes and returns the smallest node's value. The second result
