@@ -23,8 +23,10 @@
 // further stages on the same pipeline.
 //
 // The simulation is deterministic: every engine is driven from one
-// global loop that always fires the globally-earliest pending event
-// (host ties break by index, host events before same-instant arrivals),
+// global loop that always fires the globally-earliest visible event
+// (host ties break by index, host events before same-instant arrivals;
+// slice renewals, which no other host can see, fire lazily on their
+// own engine — see host.Group),
 // dispatchers are deterministic functions of seed and observed state,
 // container expiry and pre-warm events are processed in the same global
 // time order, and sources are deterministic in their spec — so the same
@@ -445,6 +447,12 @@ func (c *Cluster) Run(src trace.Source) (*Result, error) {
 		return stages
 	}))
 
+	// pos is where the last step or arrival stood among the host
+	// events at instant now: the stepped host's index, or len(c.nodes)
+	// once every host event at now has fired. Work it releases is
+	// delivered there (see host.Group.Deliver).
+	pos := len(c.nodes)
+
 	// offer asks the dispatcher to place records[ri]. It reports false
 	// when the dispatcher holds the invocation (the caller parks it in
 	// the central queue) or picks an invalid host (with the error).
@@ -477,7 +485,7 @@ func (c *Cluster) Run(src trace.Source) (*Result, error) {
 		// host's lifecycle stage then acquires a container inside
 		// Deliver; a cold start further delays runnability there.
 		rec.t.Arrival += c.netDelayOf()
-		g.Deliver(idx, at, rec.t)
+		g.Deliver(idx, at, rec.t, pos)
 		c.load.update(idx)
 		c.nodes[idx].dispatched++
 		return true, nil
@@ -516,9 +524,9 @@ func (c *Cluster) Run(src trace.Source) (*Result, error) {
 
 	next, more := src.Next()
 	for {
-		// The globally-earliest host event, among hosts that still have
-		// unfinished work (ties break by lowest host index, mirroring
-		// the heap's comparator).
+		// The globally-earliest visible host event, among hosts that
+		// still have unfinished work (ties break by lowest host index,
+		// mirroring the heap's comparator).
 		heHost, heTime := g.Min()
 		arrTime := simtime.Infinity
 		if more {
@@ -529,6 +537,7 @@ func (c *Cluster) Run(src trace.Source) (*Result, error) {
 			// Host events fire before same-instant arrivals so a
 			// completion frees capacity the dispatcher can see.
 			if heTime > deadline {
+				g.CatchUp(deadline)
 				aborted = true
 				break
 			}
@@ -538,6 +547,7 @@ func (c *Cluster) Run(src trace.Source) (*Result, error) {
 			if heTime > now {
 				now = heTime
 			}
+			pos = heHost
 			if c.nodes[heHost].eng.Pending() < before {
 				if err := drainCentral(now); err != nil {
 					return nil, err
@@ -561,11 +571,15 @@ func (c *Cluster) Run(src trace.Source) (*Result, error) {
 
 		if more {
 			if arrTime > deadline {
+				g.CatchUp(deadline)
 				aborted = true
 				break
 			}
-			if arrTime > now {
-				now = arrTime
+			// An arrival follows every host event at its instant; one
+			// behind the clock (an out-of-order source) is admitted at
+			// now, where the last step left the hosts.
+			if arrTime >= now {
+				now, pos = arrTime, len(c.nodes)
 			}
 			if c.inj != nil {
 				// A chained request expands into its root stages, all

@@ -327,6 +327,7 @@ func (c *Cluster) runSharded(src trace.Source) (*Result, error) {
 			break
 		}
 		if earliest > deadline {
+			c.catchUpSharded(deadline, lookahead, now)
 			aborted = true
 			break
 		}
@@ -388,4 +389,29 @@ func (c *Cluster) runSharded(src trace.Source) (*Result, error) {
 	res.Shards = nShards
 	res.Lookahead = lookahead
 	return res, nil
+}
+
+// catchUpSharded ends an aborting sharded run where a strict event
+// order would: it fires every engine's deferred renewals up to the
+// deadline. Windows skip instants that hold only renewals, but a strict
+// order runs a window for each, and every barrier advances the
+// lifecycle clocks; so when a caught-up renewal lies past the last
+// barrier, the lifecycle managers advance to the end of the window that
+// would have held it, as that window's barrier would have.
+func (c *Cluster) catchUpSharded(deadline simtime.Time, lookahead time.Duration, now simtime.Time) {
+	last := simtime.Time(-1)
+	for _, n := range c.nodes {
+		before := n.eng.Now()
+		n.eng.CatchUp(deadline, true)
+		if at := n.eng.Now(); at > before && at > last {
+			last = at
+		}
+	}
+	if last < now || c.cfg.NewLifecycle == nil {
+		return
+	}
+	bound := min(last-last%lookahead+lookahead, deadline+1)
+	for _, n := range c.nodes {
+		n.mgr.AdvanceTo(bound)
+	}
 }

@@ -167,6 +167,7 @@ type SFS struct {
 	cfg     Config
 	api     cpusim.API
 	cfs     cpusim.Scheduler // second level; CFS unless overridden
+	renew   cpusim.Renewer   // the second level's Renewer, if it has one
 	workers []worker
 
 	// FIFO request queues: one global queue by default, or one per
@@ -245,6 +246,7 @@ func (s *SFS) Name() string {
 func (s *SFS) Bind(api cpusim.API) {
 	s.api = api
 	s.cfs.Bind(api)
+	s.renew, _ = s.cfs.(cpusim.Renewer)
 	s.workers = make([]worker, api.NumCores())
 	for core := range s.workers {
 		s.workers[core].onDetect = func(at simtime.Time) { s.onBlockDetected(at, core) }
@@ -610,6 +612,34 @@ func (s *SFS) onObliviousDeadline(now simtime.Time, core int) {
 	s.detach(w, e)
 	s.demote(now, t)
 	s.api.Reschedule(core)
+}
+
+// Renewable implements cpusim.Renewer. A slice expiry of a CFS-mode
+// task re-picks it when PickNext would go straight to the second level
+// — the core's worker is free with no FILTER request queued, or parked
+// in block-wait or attached-sleep — and the second level certifies the
+// renewal itself.
+func (s *SFS) Renewable(core int, t *task.Task) bool {
+	if s.renew == nil || !t.DemotedToCFS {
+		return false
+	}
+	switch s.workers[core].state {
+	case wFree:
+		if s.peekQueue(s.queueFor(core)) != nil {
+			return false
+		}
+	case wBlockWait, wAttachedSleep:
+	default:
+		return false
+	}
+	return s.renew.Renewable(core, t)
+}
+
+// Renew implements cpusim.Renewer, counting the Descheduled and
+// PickNext calls it stands for as two scheduling decisions.
+func (s *SFS) Renew(now simtime.Time, core int, t *task.Task, ran time.Duration) time.Duration {
+	s.Stat.SchedulingOps += 2
+	return s.renew.Renew(now, core, t, ran)
 }
 
 // WantsPreempt implements cpusim.Scheduler: FILTER work preempts CFS-mode

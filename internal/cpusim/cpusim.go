@@ -94,6 +94,26 @@ type Scheduler interface {
 	WantsPreempt(now simtime.Time, core int) bool
 }
 
+// Renewer is an optional Scheduler extension for slice renewals: a
+// slice expiry after which the scheduler re-picks the task that was
+// running. CFS models re-slice a lone task every scheduling period, so
+// most of a long function's stints end in a renewal; an engine whose
+// scheduler implements Renewer skips the Descheduled+PickNext round
+// trip for them and, on a unit-speed host, keeps them out of its
+// visible event order (see NextVisibleEventTime).
+type Renewer interface {
+	// Renewable reports whether, were t's current slice on core to
+	// expire now, Descheduled(ReasonPreempted) followed by PickNext
+	// would re-pick t on core and change no other core's state. It
+	// must depend only on state that the scheduler's callbacks for
+	// other events change, never on renewals of other cores.
+	Renewable(core int, t *task.Task) bool
+	// Renew applies exactly the effects of Descheduled(now, core, t,
+	// ran, ReasonPreempted) followed by PickNext(now, core) on a core
+	// Renewable certified, and returns the slice PickNext would.
+	Renew(now simtime.Time, core int, t *task.Task, ran time.Duration) time.Duration
+}
+
 // coreState tracks what a simulated core is doing.
 type coreState struct {
 	cur      *task.Task
@@ -111,13 +131,23 @@ type coreState struct {
 	// landing exactly on Service with no floating-point drift.
 	cpuBudget time.Duration
 
-	// fire is the core's stint-end callback, built once at engine
-	// construction so the hot path schedules events without allocating
-	// a closure per stint. fireReason is the pending stint's end reason;
-	// only one stint event is ever outstanding per core, so a single
-	// slot suffices.
-	fire       func(now simtime.Time)
+	// eng and idx identify the core to fireCore, the stint-end
+	// callback shared by every core, whose events carry the core as
+	// payload, so the hot path schedules events without allocating a
+	// closure per stint or per core. fireReason is the pending stint's
+	// end reason; only one stint event is ever outstanding per core, so
+	// a single slot suffices.
+	eng        *Engine
+	idx        int
 	fireReason DescheduleReason
+
+	// local marks a pending stint event the scheduler certified as a
+	// renewal, held in the queue's local partition. chainEnd is when
+	// the chain of renewals it starts ends in a finish or an I/O block,
+	// if nothing else happens on the host: the stint end plus the CPU
+	// demand left until then.
+	local    bool
+	chainEnd simtime.Time
 }
 
 // Config parameterizes an engine run.
@@ -165,6 +195,17 @@ type Engine struct {
 	// once like coreState.fire; their events carry the task as payload,
 	// so Submit and blocking allocate no closure per task.
 	arriveFn, wakeFn func(now simtime.Time, arg any)
+
+	// renewer is the scheduler's Renewer, if any. certify enables local
+	// renewal events: it needs a renewer and a unit-speed host, where
+	// chainEnd is exact, and a driver that orders engines by
+	// NextVisibleEventTime. visEnd is the earliest chainEnd of the
+	// cores holding a local event, kept as they join and leave;
+	// visDirty marks it stale after the earliest one left.
+	renewer  Renewer
+	certify  bool
+	visEnd   simtime.Time
+	visDirty bool
 }
 
 // NewEngine constructs an engine for the given scheduler. It panics on a
@@ -187,13 +228,17 @@ func NewEngine(cfg Config, s Scheduler) *Engine {
 		speed: cfg.Speed,
 	}
 	for i := range e.cores {
-		i := i
-		e.cores[i].fire = func(now simtime.Time) {
-			e.coreEvent(now, i, e.cores[i].fireReason)
-		}
+		e.cores[i].eng, e.cores[i].idx = e, i
 	}
 	e.arriveFn = func(now simtime.Time, arg any) { e.arrive(now, arg.(*task.Task)) }
 	e.wakeFn = func(now simtime.Time, arg any) { e.wake(now, arg.(*task.Task)) }
+	if e.renewer, _ = s.(Renewer); e.renewer != nil && e.speed == 1 {
+		// Local events may be turned on (see NextVisibleEventTime); at
+		// most one stint event per core is pending. Reserving here keeps
+		// the run itself allocation-free.
+		e.q.ReserveLocal(cfg.Cores)
+	}
+	e.visEnd = simtime.Infinity
 	s.Bind(e)
 	return e
 }
@@ -258,8 +303,12 @@ func (e *Engine) Run() simtime.Time {
 	if deadline == 0 {
 		deadline = simtime.Infinity
 	}
-	for e.pending > 0 && e.q.Len() > 0 && e.q.PeekTime() <= deadline {
-		e.q.Step()
+	for e.pending > 0 {
+		at, local := e.q.Peek()
+		if at > deadline || at == simtime.Infinity {
+			break
+		}
+		e.step(local)
 	}
 	if e.pending > 0 {
 		e.aborted = true
@@ -286,7 +335,131 @@ func (e *Engine) NextPendingEventTime() simtime.Time {
 // multi-host driver step many engines in lockstep: always step the
 // engine whose next event is globally earliest, and submit tasks with
 // arrivals at or after the global clock.
-func (e *Engine) StepEvent() bool { return e.q.Step() }
+func (e *Engine) StepEvent() bool {
+	at, local := e.q.Peek()
+	if at == simtime.Infinity {
+		return false
+	}
+	e.step(local)
+	return true
+}
+
+// NextVisibleEventTime is a lower bound on the time of the engine's
+// next visible event: one that can change what another host or a
+// cluster coordinator reads (pending and busy counts, completions). It
+// is the earliest pending event outside the local partition, or
+// earlier, the chainEnd of a core running a certified renewal chain;
+// simtime.Infinity once every task has finished. Local events —
+// renewals — change only their own core, so a driver may order engines
+// by this key and let renewals fire lazily, provided it catches an
+// engine up (CatchUp) before delivering work to it. On a unit-speed
+// host the key is always the time of a real future event.
+//
+// The first call turns local events on, so an engine driven alone
+// (Run, StepEvent) never certifies: ordering is all they buy.
+func (e *Engine) NextVisibleEventTime() simtime.Time {
+	if !e.certify && e.renewer != nil && e.speed == 1 {
+		// No stint is local yet, so certification can start anywhere.
+		e.certify = true
+	}
+	if e.pending == 0 {
+		return simtime.Infinity
+	}
+	if e.visDirty {
+		e.visEnd, e.visDirty = simtime.Infinity, false
+		for i := range e.q.LocalLen() {
+			e.visEnd = min(e.visEnd, e.q.LocalArg(i).(*coreState).chainEnd)
+		}
+	}
+	return min(e.q.PeekGlobal(), e.visEnd)
+}
+
+// StepVisible fires pending events in order until one non-local event
+// has fired or the next event lies after upTo, which should be the
+// NextVisibleEventTime the driver ordered the engine by. Local events
+// before that event fire along the way; so do local events at upTo,
+// which precede any later same-instant delivery from a host with a
+// higher index, as the visible order requires.
+func (e *Engine) StepVisible(upTo simtime.Time) {
+	for {
+		at, local := e.q.Peek()
+		if at > upTo {
+			return
+		}
+		e.step(local)
+		if !local {
+			return
+		}
+	}
+}
+
+// CatchUp fires the local events due before at — or at at, when
+// inclusive — so work delivered at instant at finds the engine exactly
+// as an engine that never deferred its renewals would. Deliveries that
+// follow every same-instant event of the engine (trace arrivals,
+// work released by a lower-indexed host) are inclusive; those that
+// precede them are not. It stops at the first non-local event, which a
+// driver honoring NextVisibleEventTime has already fired if it was due.
+func (e *Engine) CatchUp(at simtime.Time, inclusive bool) {
+	for {
+		t, local := e.q.Peek()
+		if !local || t > at || (t == at && !inclusive) {
+			return
+		}
+		e.step(true)
+	}
+}
+
+// step fires the earliest pending event, which the caller has peeked
+// and found local or not. A non-local event may give a certified core
+// a rival (an enqueue on its runqueue, a FILTER request for SFS), so
+// the engine re-checks the local cores after it and moves a stint that
+// is no longer a renewal back into the global partition. Local events
+// change no other core, so none is needed after them. The converse — a
+// steal or a drained FILTER queue leaving a switch with nothing to
+// switch to — is left to the next place(): that stint stays global
+// and ends through Descheduled+PickNext, which renews exactly as well.
+// Such late renewals are rare (about 1% of renewals on a loaded 16-core
+// SFS host), and asking at every expiry would cost a Renewable call per
+// context switch.
+func (e *Engine) step(local bool) {
+	e.q.Step()
+	if !local && e.q.LocalLen() > 0 {
+		e.q.DemoteLocal(stillRenewable)
+	}
+}
+
+// stillRenewable is step's DemoteLocal filter over local stint events:
+// it keeps a core's event while the scheduler still certifies the
+// renewal and clears the core's local mark otherwise.
+func stillRenewable(arg any) bool {
+	c := arg.(*coreState)
+	if c.eng.renewer.Renewable(c.idx, c.cur) {
+		return true
+	}
+	c.eng.setLocal(c, false)
+	return false
+}
+
+// fireCore is every core's stint-end callback.
+func fireCore(now simtime.Time, arg any) {
+	c := arg.(*coreState)
+	c.eng.coreEvent(now, c.idx, c.fireReason)
+}
+
+// setLocal records whether c's pending stint event is local and keeps
+// visEnd current: a joining core can only lower it, and only the
+// departure of the core that set it can raise it.
+func (e *Engine) setLocal(c *coreState, local bool) {
+	switch {
+	case c.local == local:
+	case local:
+		e.visEnd = min(e.visEnd, c.chainEnd)
+	case c.chainEnd == e.visEnd:
+		e.visDirty = true
+	}
+	c.local = local
+}
 
 // BusyCores returns the number of cores currently running a task. It
 // is a counter read, so cluster dispatch views built on it stay O(1).
@@ -430,6 +603,7 @@ func (e *Engine) place(now simtime.Time, core int, t *task.Task, slice time.Dura
 			reason = ReasonBlocked
 		}
 	}
+	untilStop := cpuFor // CPU demand until the finish or I/O block
 	wallFor := e.wallOf(cpuFor)
 	if slice > 0 && slice < wallFor {
 		// The floor of a sub-stint slice can reach zero CPU on very slow
@@ -448,9 +622,29 @@ func (e *Engine) place(now simtime.Time, core int, t *task.Task, slice time.Dura
 	if cpuFor < 0 {
 		panic("cpusim: negative run segment")
 	}
+	end := now + wallFor + c.penalty
 	c.cpuBudget = cpuFor
 	c.fireReason = reason
-	c.event = e.q.After(wallFor+c.penalty, c.fire)
+	if reason != ReasonPreempted || !e.certify {
+		e.setLocal(c, false)
+		c.event = e.q.AtArg(end, fireCore, c)
+		return
+	}
+	// A stint that ends in a slice expiry may start or continue a
+	// renewal chain. chainEnd is exact because certify implies unit
+	// speed, where each renewal retires exactly its wall length and
+	// pays no switch penalty.
+	local := e.renewer.Renewable(core, t)
+	if chainEnd := end + (untilStop - cpuFor); chainEnd != c.chainEnd {
+		e.setLocal(c, false) // leaves under its old chain end
+		c.chainEnd = chainEnd
+	}
+	e.setLocal(c, local)
+	if local {
+		c.event = e.q.AtArgLocal(end, fireCore, c)
+	} else {
+		c.event = e.q.AtArg(end, fireCore, c)
+	}
 }
 
 // wallOf converts a CPU-demand duration to the wall time this host
@@ -500,6 +694,7 @@ func (e *Engine) preempt(now simtime.Time, core int) {
 		return
 	}
 	e.q.Cancel(c.event)
+	e.setLocal(c, false)
 	ran := now - c.runStart
 	// A mid-stint preemption retires the wall progress made so far,
 	// converted to CPU demand; the conversion truncates, so clamp to
@@ -558,8 +753,16 @@ func (e *Engine) coreEvent(now simtime.Time, core int, reason DescheduleReason) 
 	case ReasonPreempted:
 		// Slice expiry. The scheduler accounts the stint and picks the
 		// successor; if it re-picks the same task this is a slice
-		// renewal, not a context switch.
+		// renewal, not a context switch. A scheduler that certifies the
+		// renewal applies it in one call. Where local events are on, a
+		// stint is local exactly while it is certified (see step), so
+		// only engines without them ask at expiry.
 		t.MarkReady(now)
+		if c.local || (!e.certify && e.renewer != nil && e.renewer.Renewable(core, t)) {
+			e.place(now, core, t, e.renewer.Renew(now, core, t, ran), false)
+			return
+		}
+		e.setLocal(c, false)
 		e.sched.Descheduled(now, core, t, ran, ReasonPreempted)
 		next, slice := e.sched.PickNext(now, core)
 		if next == t {

@@ -21,6 +21,14 @@ type submission struct {
 // advances whole windows (Enqueue, Advance) — either way every event
 // and delivery flows through the same primitives, so replays are
 // byte-identical at any partitioning.
+//
+// The order is over visible events only (cpusim.Engine's
+// NextVisibleEventTime): slice renewals a scheduler certifies stay
+// local to their engine and fire lazily, inside Step or in the
+// catch-up that precedes every delivery, so they never re-key the
+// heap. Each engine still fires all of its own events in its own
+// order, and hosts interact only through deliveries, so results are
+// those of a strict (time, host index) order over every event.
 type Group struct {
 	rts     []*Runtime
 	hh      *Heap[simtime.Time]
@@ -49,23 +57,42 @@ func (g *Group) Len() int { return len(g.rts) }
 // Runtime returns the i'th runtime.
 func (g *Group) Runtime(i int) *Runtime { return g.rts[i] }
 
-// Min returns the runtime with the earliest pending engine event
+// Min returns the runtime with the earliest visible engine event
 // (lowest index on ties) and that event's time; idle runtimes report
 // simtime.Infinity.
 func (g *Group) Min() (idx int, at simtime.Time) { return g.hh.Min() }
 
-// Step fires runtime i's earliest pending event and re-keys it.
+// Step fires runtime i's next visible event, with the local events
+// due before it, and re-keys the runtime.
 func (g *Group) Step(i int) {
-	g.rts[i].StepEvent()
-	g.hh.Update(i, g.rts[i].NextEventTime())
+	eng := g.rts[i].eng
+	eng.StepVisible(g.hh.key[i])
+	g.hh.Update(i, eng.NextVisibleEventTime())
 }
 
 // Deliver hands t to runtime i at instant `at` — through the runtime's
 // full stage pipeline — and re-keys it. This is the serial path's
 // immediate delivery; Advance uses it for queued submissions.
-func (g *Group) Deliver(i int, at simtime.Time, t *task.Task) {
+//
+// after places the delivery among the runtime's own events at `at`:
+// it follows them when i < after and precedes them otherwise, the
+// order a strict (time, host index) loop gives work released by runtime
+// `after`'s event at that instant. Trace arrivals and submissions,
+// which follow every same-instant host event, pass Len().
+func (g *Group) Deliver(i int, at simtime.Time, t *task.Task, after int) {
+	eng := g.rts[i].eng
+	eng.CatchUp(at, i < after)
 	g.rts[i].Place(at, t)
-	g.hh.Update(i, g.rts[i].NextEventTime())
+	g.hh.Update(i, eng.NextVisibleEventTime())
+}
+
+// CatchUp fires every runtime's local events up to and including at.
+// A driver that stops at a deadline calls it first, so each engine
+// ends where a strict event order would have left it.
+func (g *Group) CatchUp(at simtime.Time) {
+	for _, rt := range g.rts {
+		rt.eng.CatchUp(at, true)
+	}
 }
 
 // Enqueue defers delivery of t to runtime i until Advance reaches
@@ -121,7 +148,7 @@ func (g *Group) Advance(bound simtime.Time) (completions int) {
 		g.subHead++
 		pendingBefore += g.touch(sub.idx)
 		g.rts[sub.idx].queued--
-		g.Deliver(sub.idx, sub.at, sub.t)
+		g.Deliver(sub.idx, sub.at, sub.t, len(g.rts))
 		submitted++
 	}
 	pendingAfter := 0

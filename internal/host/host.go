@@ -144,11 +144,12 @@ func (rt *Runtime) Engine() *cpusim.Engine { return rt.eng }
 // where delivery is deferred to the owning shard (see Group.Enqueue).
 func (rt *Runtime) Queued() int { return rt.queued }
 
-// NextEventTime is the runtime's key in a next-event ordering: the
-// engine's earliest pending event while it has unfinished work, and
+// NextEventTime is the standalone Drive loop's key: the engine's
+// earliest pending event while it has unfinished work, and
 // simtime.Infinity otherwise. Idle engines may hold re-arming timer
 // events (e.g. the SFS monitor) that would spin a driver forever;
 // parking them at Infinity is the contract every drive loop keys on.
+// A Group keys on the engine's visible event time instead.
 func (rt *Runtime) NextEventTime() simtime.Time { return rt.eng.NextPendingEventTime() }
 
 // StepEvent fires the engine's earliest pending event.

@@ -67,7 +67,9 @@ func GatedBenchmarks() []string {
 // a flag. They move a little with GOMAXPROCS: above 1, the sharded
 // scenarios start per-worker goroutines and channels on every run,
 // about 0.5% more allocs/op at 4 to 8 workers than the GOMAXPROCS=1
-// baselines record (see the notes of BENCH_2026-10-17.json).
+// baselines record (see the notes of BENCH_2026-10-17.json). CI
+// therefore runs the gate at GOMAXPROCS=1, the regime the baselines
+// are recorded in, so the band is not shared with that drift.
 const MaxAllocRegress = 0.01
 
 // Options parameterizes a harness run.

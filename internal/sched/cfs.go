@@ -268,6 +268,27 @@ func (c *CFS) Descheduled(now simtime.Time, core int, t *task.Task, ran time.Dur
 	c.updateMin(core)
 }
 
+// Renewable implements cpusim.Renewer: a slice expiry re-picks t when
+// t is core's current entity and nothing waits on core's runqueue. The
+// requeued t is then the leftmost entity, so PickNext neither steals
+// nor touches another runqueue.
+func (c *CFS) Renewable(core int, t *task.Task) bool {
+	cur := c.cur[core]
+	return c.rqs[core].tree.Len() == 0 && cur != nil && cur.t == t
+}
+
+// Renew implements cpusim.Renewer: Descheduled(ReasonPreempted)'s
+// vruntime accounting and PickNext's re-pick of the same entity,
+// without the runqueue round trip. min_vruntime ends where both
+// updateMin calls of the slow path leave it, at the entity's vruntime.
+func (c *CFS) Renew(now simtime.Time, core int, t *task.Task, ran time.Duration) time.Duration {
+	ent := c.cur[core]
+	ent.vr += weighted(ran, t.Weight)
+	ent.everRan = true
+	c.updateMin(core)
+	return c.sliceFor(core)
+}
+
 // weighted scales run time by the nice-0 weight ratio. All tasks in the
 // reproduction run at nice 0, so this is usually identity.
 func weighted(d time.Duration, weight int) time.Duration {

@@ -46,9 +46,11 @@ type Event struct {
 	fn   func(now Time, arg any)
 	arg  any
 	seq  uint64
-	idx  int // heap index; -1 when not queued
+	idx  int // index in its partition's heap; -1 when not queued
 	gen  uint32
 	dead bool
+	// local marks an event in the local partition (see Queue).
+	local bool
 }
 
 // EventRef is a value handle to a scheduled event. The zero EventRef is
@@ -70,10 +72,19 @@ func (r EventRef) Cancelled() bool {
 // Queue is a deterministic discrete-event queue. The zero value is ready to
 // use. Queue is not safe for concurrent use; simulations are single
 // threaded by design.
+//
+// Pending events live in two partitions, global and local, ordered by
+// the same (time, sequence) key and numbered from one sequence counter,
+// so Step fires the union in exactly the order a single heap would. The
+// split only matters to a driver interleaving many queues: a local
+// event is one its owner has certified no other queue can observe, so
+// the driver may order queues by PeekGlobal and let local events fire
+// lazily (see cpusim.Engine.NextVisibleEventTime).
 type Queue struct {
 	now    Time
 	seq    uint64
-	heap   []*Event
+	global partition
+	local  partition
 	free   []*Event // recycled event structs
 	fired  uint64
 	sched  uint64
@@ -83,12 +94,20 @@ type Queue struct {
 // Now returns the current virtual time.
 func (q *Queue) Now() Time { return q.now }
 
-// Len returns the number of pending events.
-func (q *Queue) Len() int { return len(q.heap) }
+// Len returns the number of pending events in both partitions.
+func (q *Queue) Len() int { return len(q.global) + len(q.local) }
 
 // Stats returns counters of scheduled, fired, and cancelled events.
 func (q *Queue) Stats() (scheduled, fired, cancelled uint64) {
 	return q.sched, q.fired, q.cancel
+}
+
+// ReserveLocal sizes the local partition for n pending events, so
+// scheduling up to n local events at once never allocates.
+func (q *Queue) ReserveLocal(n int) {
+	if cap(q.local) < n {
+		q.local = append(make(partition, 0, n), q.local...)
+	}
 }
 
 // alloc takes an event struct from the free list or the heap allocator.
@@ -110,12 +129,20 @@ func (q *Queue) release(e *Event) {
 	q.free = append(q.free, e)
 }
 
+// part returns the partition holding e.
+func (q *Queue) part(e *Event) *partition {
+	if e.local {
+		return &q.local
+	}
+	return &q.global
+}
+
 // At schedules fn at absolute virtual time at. Scheduling in the past (or
 // at the current instant) fires the event at the current time on the next
 // Step; this is valid and used for "immediate" follow-up work. The returned
 // EventRef may be passed to Cancel.
 func (q *Queue) At(at Time, fn func(now Time)) EventRef {
-	return q.AtArg(at, callFn, fn)
+	return q.schedule(at, callFn, fn, false)
 }
 
 // callFn adapts At's payload-free callback, carried as the payload.
@@ -126,14 +153,23 @@ func callFn(now Time, fn any) { fn.(func(now Time))(now) }
 // reuse one long-lived fn instead of allocating a closure per event;
 // a pointer (or func) arg is stored without allocating.
 func (q *Queue) AtArg(at Time, fn func(now Time, arg any), arg any) EventRef {
+	return q.schedule(at, fn, arg, false)
+}
+
+// AtArgLocal is AtArg into the local partition.
+func (q *Queue) AtArgLocal(at Time, fn func(now Time, arg any), arg any) EventRef {
+	return q.schedule(at, fn, arg, true)
+}
+
+func (q *Queue) schedule(at Time, fn func(now Time, arg any), arg any, local bool) EventRef {
 	if at < q.now {
 		at = q.now
 	}
 	e := q.alloc()
-	e.At, e.fn, e.arg, e.seq, e.dead = at, fn, arg, q.seq, false
+	e.At, e.fn, e.arg, e.seq, e.dead, e.local = at, fn, arg, q.seq, false, local
 	q.seq++
 	q.sched++
-	q.push(e)
+	q.part(e).push(e)
 	return EventRef{e: e, gen: e.gen}
 }
 
@@ -154,26 +190,97 @@ func (q *Queue) Cancel(r EventRef) {
 	}
 	e.dead = true
 	if e.idx >= 0 {
-		q.remove(e.idx)
+		q.part(e).remove(e.idx)
 		q.cancel++
 		q.release(e)
 	}
 }
 
+// LocalLen returns the number of pending local events.
+func (q *Queue) LocalLen() int { return len(q.local) }
+
+// LocalArg returns the payload of the i'th pending local event, in no
+// particular order; 0 <= i < LocalLen().
+func (q *Queue) LocalArg(i int) any { return q.local[i].arg }
+
+// DemoteLocal moves every local event whose payload keep rejects into
+// the global partition, keeping its time and sequence, so the firing
+// order is unchanged. It returns the number of events moved.
+func (q *Queue) DemoteLocal(keep func(arg any) bool) int {
+	kept, moved := q.local[:0], 0
+	for _, e := range q.local {
+		if keep(e.arg) {
+			e.idx = len(kept)
+			kept = append(kept, e)
+			continue
+		}
+		e.local = false
+		q.global.push(e)
+		moved++
+	}
+	if moved == 0 {
+		return 0
+	}
+	clear(q.local[len(kept):])
+	q.local = kept
+	for i := len(kept)/2 - 1; i >= 0; i-- {
+		kept.down(i)
+	}
+	return moved
+}
+
 // PeekTime returns the time of the next pending event, or Infinity if none.
 func (q *Queue) PeekTime() Time {
-	if len(q.heap) == 0 {
+	at, _ := q.Peek()
+	return at
+}
+
+// PeekGlobal returns the time of the next pending global event, or
+// Infinity if none.
+func (q *Queue) PeekGlobal() Time {
+	if len(q.global) == 0 {
 		return Infinity
 	}
-	return q.heap[0].At
+	return q.global[0].At
+}
+
+// Peek returns the time of the next pending event and whether it is
+// local; (Infinity, false) when the queue is empty.
+func (q *Queue) Peek() (at Time, local bool) {
+	e := q.head()
+	if e == nil {
+		return Infinity, false
+	}
+	return e.At, e.local
+}
+
+// head returns the next event in (time, sequence) order across both
+// partitions, or nil.
+func (q *Queue) head() *Event {
+	switch {
+	case len(q.local) == 0:
+		if len(q.global) == 0 {
+			return nil
+		}
+		return q.global[0]
+	case len(q.global) == 0:
+		return q.local[0]
+	}
+	if g, l := q.global[0], q.local[0]; before(l, g) {
+		return l
+	}
+	return q.global[0]
 }
 
 // Step fires the earliest pending event, advancing the clock to its time.
 // It returns false if the queue is empty.
 func (q *Queue) Step() bool {
-	for len(q.heap) > 0 {
-		e := q.heap[0]
-		q.remove(0)
+	for {
+		e := q.head()
+		if e == nil {
+			return false
+		}
+		q.part(e).remove(0)
 		if e.dead {
 			q.release(e)
 			continue
@@ -186,14 +293,13 @@ func (q *Queue) Step() bool {
 		fn(q.now, arg)
 		return true
 	}
-	return false
 }
 
 // Run fires events until the queue drains or until the next event would be
 // after deadline. It returns the number of events fired.
 func (q *Queue) Run(deadline Time) int {
 	n := 0
-	for len(q.heap) > 0 && q.PeekTime() <= deadline {
+	for q.Len() > 0 && q.PeekTime() <= deadline {
 		if q.Step() {
 			n++
 		}
@@ -213,69 +319,72 @@ func (q *Queue) RunAll() int {
 	return n
 }
 
-// less orders events by time, breaking ties by scheduling sequence so
+// before orders events by time, breaking ties by scheduling sequence so
 // same-instant events fire in FIFO order.
-func (q *Queue) less(i, j int) bool {
-	a, b := q.heap[i], q.heap[j]
+func before(a, b *Event) bool {
 	if a.At != b.At {
 		return a.At < b.At
 	}
 	return a.seq < b.seq
 }
 
-func (q *Queue) swap(i, j int) {
-	q.heap[i], q.heap[j] = q.heap[j], q.heap[i]
-	q.heap[i].idx = i
-	q.heap[j].idx = j
+// partition is one indexed binary min-heap of pending events.
+type partition []*Event
+
+func (h partition) swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].idx = i
+	h[j].idx = j
 }
 
-func (q *Queue) push(e *Event) {
-	e.idx = len(q.heap)
-	q.heap = append(q.heap, e)
-	q.up(e.idx)
+func (h *partition) push(e *Event) {
+	e.idx = len(*h)
+	*h = append(*h, e)
+	h.up(e.idx)
 }
 
-func (q *Queue) remove(i int) {
-	n := len(q.heap) - 1
-	e := q.heap[i]
+func (h *partition) remove(i int) {
+	s := *h
+	n := len(s) - 1
+	e := s[i]
 	if i != n {
-		q.swap(i, n)
+		s.swap(i, n)
 	}
-	q.heap[n] = nil
-	q.heap = q.heap[:n]
+	s[n] = nil
+	*h = s[:n]
 	e.idx = -1
 	if i < n {
-		q.down(i)
-		q.up(i)
+		h.down(i)
+		h.up(i)
 	}
 }
 
-func (q *Queue) up(i int) {
+func (h partition) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q.less(i, parent) {
+		if !before(h[i], h[parent]) {
 			break
 		}
-		q.swap(i, parent)
+		h.swap(i, parent)
 		i = parent
 	}
 }
 
-func (q *Queue) down(i int) {
-	n := len(q.heap)
+func (h partition) down(i int) {
+	n := len(h)
 	for {
 		l, r := 2*i+1, 2*i+2
 		smallest := i
-		if l < n && q.less(l, smallest) {
+		if l < n && before(h[l], h[smallest]) {
 			smallest = l
 		}
-		if r < n && q.less(r, smallest) {
+		if r < n && before(h[r], h[smallest]) {
 			smallest = r
 		}
 		if smallest == i {
 			return
 		}
-		q.swap(i, smallest)
+		h.swap(i, smallest)
 		i = smallest
 	}
 }

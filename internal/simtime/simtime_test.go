@@ -289,3 +289,61 @@ func TestAtArgPayload(t *testing.T) {
 		t.Fatalf("At/AtArg+Step allocated %v times per pair of events", n)
 	}
 }
+
+// TestPartitionsFireInOneOrder: events spread over the global and
+// local partitions — some scheduled local, some cancelled, some
+// demoted back to global mid-run — fire in exactly the order one queue
+// holding them all fires them, and PeekGlobal and LocalLen track the
+// partitions.
+func TestPartitionsFireInOneOrder(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		r := rng.New(seed)
+		split, ref := &Queue{}, &Queue{}
+		split.ReserveLocal(8)
+		var got, want []int
+		var splitRefs, refRefs []EventRef
+		for id := 0; id < 300; id++ {
+			at := Time(r.Intn(50)) * time.Millisecond
+			id := id
+			if r.Intn(2) == 0 {
+				splitRefs = append(splitRefs, split.AtArgLocal(at, func(Time, any) { got = append(got, id) }, id))
+			} else {
+				splitRefs = append(splitRefs, split.AtArg(at, func(Time, any) { got = append(got, id) }, id))
+			}
+			refRefs = append(refRefs, ref.At(at, func(Time) { want = append(want, id) }))
+			if r.Intn(10) == 0 {
+				k := r.Intn(len(splitRefs))
+				split.Cancel(splitRefs[k])
+				ref.Cancel(refRefs[k])
+			}
+		}
+		for split.Len() > 0 {
+			if r.Intn(8) == 0 {
+				keepEven := func(arg any) bool { return arg.(int)%2 == 0 }
+				before := split.LocalLen()
+				moved := split.DemoteLocal(keepEven)
+				if split.LocalLen() != before-moved {
+					t.Fatalf("seed %d: DemoteLocal moved %d of %d but left %d", seed, moved, before, split.LocalLen())
+				}
+				for i := range split.LocalLen() {
+					if split.LocalArg(i).(int)%2 != 0 {
+						t.Fatalf("seed %d: DemoteLocal kept rejected event %v", seed, split.LocalArg(i))
+					}
+				}
+			}
+			if at, local := split.Peek(); !local && split.PeekGlobal() != at {
+				t.Fatalf("seed %d: head at %v is global but PeekGlobal says %v", seed, at, split.PeekGlobal())
+			}
+			split.Step()
+			ref.Step()
+		}
+		if ref.Len() != 0 || len(got) != len(want) {
+			t.Fatalf("seed %d: fired %d events, reference %d", seed, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: event %d fired as %d, reference %d", seed, i, got[i], want[i])
+			}
+		}
+	}
+}
