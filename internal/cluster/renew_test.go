@@ -297,6 +297,84 @@ func TestRenewalExactSharded(t *testing.T) {
 	}
 }
 
+// TestRenewalExactShardedWarmFirst: WARMFIRST reads the warm pools at
+// each barrier, so the sharded coordinator must advance the lifecycle
+// clocks over the windows it skips, as their barriers would have.
+func TestRenewalExactShardedWarmFirst(t *testing.T) {
+	for _, sch := range []string{"CFS", "SFS"} {
+		for _, policy := range []string{"TTL", "HIST"} {
+			t.Run(sch+"/"+policy, func(t *testing.T) {
+				res := assertExact(t, exactCase{
+					cfg: func(t *testing.T) Config {
+						mk := fixedTTL(t)
+						if policy == "HIST" {
+							mk = func() *lifecycle.Manager {
+								m, err := lifecycle.NewByName("HIST", 512, 0, 7)
+								if err != nil {
+									t.Fatal(err)
+								}
+								return m
+							}
+						}
+						return Config{
+							Hosts: 8, CoresPerHost: 2, NewScheduler: schedFactory(sch), Dispatcher: dispatcher(t, "WARMFIRST", 8),
+							NewLifecycle: mk, Shards: 4, Workers: 2,
+						}
+					},
+					tasks: func(*testing.T) []*task.Task { return gridTasks(400, 5, 30) },
+				})
+				if res.Shards != 4 {
+					t.Fatalf("ran %d shards, want 4", res.Shards)
+				}
+			})
+		}
+	}
+}
+
+// TestRenewalExactShardedLifecycleClock: host 1 holds an idle "b"
+// container (expiring at 51 ms) while both hosts renew alone until
+// "b" arrives again at 80 ms. The strict order runs a window for each
+// renewal, whose barriers expire the container, so WARMFIRST falls
+// back to the least-loaded host 0; a coordinator that skipped those
+// windows without advancing the clocks would still see host 1 warm.
+// Cold starts are free so every task starts on arrival.
+func TestRenewalExactShardedLifecycleClock(t *testing.T) {
+	free := dist.Constant{}
+	res := assertExact(t, exactCase{
+		cfg: func(t *testing.T) Config {
+			return Config{
+				Hosts: 2, CoresPerHost: 2, NewScheduler: schedFactory("CFS"), Dispatcher: dispatcher(t, "WARMFIRST", 2),
+				Shards: 2, Workers: 1,
+				NewLifecycle: func() *lifecycle.Manager {
+					m, err := lifecycle.New(lifecycle.Config{
+						Policy: lifecycle.NewFixedTTL(50 * time.Millisecond), ImagePull: free, SandboxBoot: free, Seed: 7,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return m
+				},
+			}
+		},
+		tasks: func(*testing.T) []*task.Task {
+			tasks := []*task.Task{
+				task.New(0, 0, 300*time.Millisecond),
+				task.New(1, 0, time.Millisecond),
+				task.New(2, 2*time.Millisecond, 300*time.Millisecond),
+				task.New(3, 80*time.Millisecond, time.Millisecond),
+			}
+			for i, app := range []string{"a", "b", "c", "b"} {
+				tasks[i].App = app
+			}
+			return tasks
+		},
+	})
+	if res.PerHost[1].Lifecycle.Expirations != 1 || res.PerHost[0].Dispatches != 2 {
+		t.Fatalf("%d expirations on host 1, %d dispatches to host 0; want the late \"b\" on host 0 after host 1's \"b\" expired",
+			res.PerHost[1].Lifecycle.Expirations, res.PerHost[0].Dispatches)
+	}
+}
+
 // TestRenewalExactDeadline: a run stopped by its deadline mid-trace
 // first catches every host up to the deadline, so busy time, CPU used
 // and — on the sharded path — the lifecycle clocks end where the
@@ -368,6 +446,12 @@ func testDeadline(t *testing.T, sch string, shards int, deadline time.Duration) 
 // with HIST keep-alive and a capped warm pool — the stage pipeline the
 // trigger-warm benchmark exercises — on SFS hosts.
 func TestRenewalExactTriggerWarmFirst(t *testing.T) {
+	for _, shards := range []int{0, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { testTriggerWarmFirst(t, shards) })
+	}
+}
+
+func testTriggerWarmFirst(t *testing.T, shards int) {
 	const hosts, cores, seed = 8, 4, 13
 	spec := workload.TriggerSpec{N: 600, Cores: hosts * cores, Load: 0.9, Seed: seed}
 	assertExact(t, exactCase{
@@ -378,7 +462,7 @@ func TestRenewalExactTriggerWarmFirst(t *testing.T) {
 			}
 			return Config{
 				Hosts: hosts, CoresPerHost: cores, NewScheduler: schedFactory("SFS"), Dispatcher: dispatcher(t, "WARMFIRST", hosts),
-				Chain: &ccfg,
+				Chain: &ccfg, Shards: shards, Workers: 2,
 				NewLifecycle: func() *lifecycle.Manager {
 					m, err := lifecycle.NewByName("HIST", 512, 0, seed)
 					if err != nil {

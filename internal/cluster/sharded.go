@@ -327,7 +327,7 @@ func (c *Cluster) runSharded(src trace.Source) (*Result, error) {
 			break
 		}
 		if earliest > deadline {
-			c.catchUpSharded(deadline, lookahead, now)
+			c.catchUpRenewals(deadline, true, now, deadline, lookahead)
 			aborted = true
 			break
 		}
@@ -346,6 +346,13 @@ func (c *Cluster) runSharded(src trace.Source) (*Result, error) {
 		if deadline != simtime.Infinity && bound > deadline+1 {
 			// Never simulate past the deadline; the next barrier aborts.
 			bound = deadline + 1
+		}
+
+		if c.cfg.NewLifecycle != nil {
+			// Warm pools are the one host state that renewals move (by
+			// the barriers of the windows they would open), so catch
+			// the lifecycle clocks up before placement reads them.
+			c.catchUpRenewals(t0, false, now, deadline, lookahead)
 		}
 
 		// Admit every arrival inside the window. Placement sees host
@@ -391,18 +398,22 @@ func (c *Cluster) runSharded(src trace.Source) (*Result, error) {
 	return res, nil
 }
 
-// catchUpSharded ends an aborting sharded run where a strict event
-// order would: it fires every engine's deferred renewals up to the
-// deadline. Windows skip instants that hold only renewals, but a strict
-// order runs a window for each, and every barrier advances the
-// lifecycle clocks; so when a caught-up renewal lies past the last
-// barrier, the lifecycle managers advance to the end of the window that
-// would have held it, as that window's barrier would have.
-func (c *Cluster) catchUpSharded(deadline simtime.Time, lookahead time.Duration, now simtime.Time) {
+// catchUpRenewals fires every engine's deferred renewals due before
+// upTo (or at upTo, when inclusive), leaving the lifecycle clocks where
+// a strict event order would. Windows skip instants that hold only
+// renewals, but a strict order runs a window for each, and every
+// barrier advances the lifecycle clocks to its window's end; so when a
+// caught-up renewal lies at or past the last barrier, now, the
+// managers advance to the end of the window that would have held the
+// latest one, as that window's barrier would have. The coordinator
+// calls it before placing a window's arrivals, which only warm pools
+// could tell apart from a strict order, and when a run aborts at its
+// deadline, so every engine ends where that order leaves it.
+func (c *Cluster) catchUpRenewals(upTo simtime.Time, inclusive bool, now, deadline simtime.Time, lookahead time.Duration) {
 	last := simtime.Time(-1)
 	for _, n := range c.nodes {
 		before := n.eng.Now()
-		n.eng.CatchUp(deadline, true)
+		n.eng.CatchUp(upTo, inclusive)
 		if at := n.eng.Now(); at > before && at > last {
 			last = at
 		}
@@ -410,7 +421,10 @@ func (c *Cluster) catchUpSharded(deadline simtime.Time, lookahead time.Duration,
 	if last < now || c.cfg.NewLifecycle == nil {
 		return
 	}
-	bound := min(last-last%lookahead+lookahead, deadline+1)
+	bound := last - last%lookahead + lookahead
+	if deadline != simtime.Infinity {
+		bound = min(bound, deadline+1)
+	}
 	for _, n := range c.nodes {
 		n.mgr.AdvanceTo(bound)
 	}

@@ -196,10 +196,12 @@ type Engine struct {
 	// so Submit and blocking allocate no closure per task.
 	arriveFn, wakeFn func(now simtime.Time, arg any)
 
-	// renewer is the scheduler's Renewer, if any. certify enables local
-	// renewal events: it needs a renewer and a unit-speed host, where
-	// chainEnd is exact, and a driver that orders engines by
-	// NextVisibleEventTime. visEnd is the earliest chainEnd of the
+	// renewer is the scheduler's Renewer, if any. certify, fixed in
+	// NewEngine, enables local renewal events: it needs a renewer and a
+	// unit-speed host, where chainEnd is exact. The queue fires both
+	// partitions in one order, so Run and StepEvent see no difference;
+	// only a driver that orders engines by NextVisibleEventTime defers
+	// local events. visEnd is the earliest chainEnd of the
 	// cores holding a local event, kept as they join and leave;
 	// visDirty marks it stale after the earliest one left.
 	renewer  Renewer
@@ -232,10 +234,10 @@ func NewEngine(cfg Config, s Scheduler) *Engine {
 	}
 	e.arriveFn = func(now simtime.Time, arg any) { e.arrive(now, arg.(*task.Task)) }
 	e.wakeFn = func(now simtime.Time, arg any) { e.wake(now, arg.(*task.Task)) }
-	if e.renewer, _ = s.(Renewer); e.renewer != nil && e.speed == 1 {
-		// Local events may be turned on (see NextVisibleEventTime); at
-		// most one stint event per core is pending. Reserving here keeps
-		// the run itself allocation-free.
+	e.renewer, _ = s.(Renewer)
+	if e.certify = e.renewer != nil && e.speed == 1; e.certify {
+		// At most one stint event per core is local at a time.
+		// Reserving here keeps the run itself allocation-free.
 		e.q.ReserveLocal(cfg.Cores)
 	}
 	e.visEnd = simtime.Infinity
@@ -354,14 +356,7 @@ func (e *Engine) StepEvent() bool {
 // by this key and let renewals fire lazily, provided it catches an
 // engine up (CatchUp) before delivering work to it. On a unit-speed
 // host the key is always the time of a real future event.
-//
-// The first call turns local events on, so an engine driven alone
-// (Run, StepEvent) never certifies: ordering is all they buy.
 func (e *Engine) NextVisibleEventTime() simtime.Time {
-	if !e.certify && e.renewer != nil && e.speed == 1 {
-		// No stint is local yet, so certification can start anywhere.
-		e.certify = true
-	}
 	if e.pending == 0 {
 		return simtime.Infinity
 	}
@@ -397,7 +392,7 @@ func (e *Engine) StepVisible(upTo simtime.Time) {
 // inclusive — so work delivered at instant at finds the engine exactly
 // as an engine that never deferred its renewals would. Deliveries that
 // follow every same-instant event of the engine (trace arrivals,
-// work released by a lower-indexed host) are inclusive; those that
+// work released by a higher-indexed host) are inclusive; those that
 // precede them are not. It stops at the first non-local event, which a
 // driver honoring NextVisibleEventTime has already fired if it was due.
 func (e *Engine) CatchUp(at simtime.Time, inclusive bool) {
