@@ -349,9 +349,10 @@ func (c *Cluster) runSharded(src trace.Source) (*Result, error) {
 		}
 
 		if c.cfg.NewLifecycle != nil {
-			// Warm pools are the one host state that renewals move (by
-			// the barriers of the windows they would open), so catch
-			// the lifecycle clocks up before placement reads them.
+			// A strict order would have run a window, and advanced
+			// the lifecycle clocks at its barrier, for every renewal
+			// before t0. Warm pools are the one thing placement reads
+			// that this moves, so catch them up before it reads them.
 			c.catchUpRenewals(t0, false, now, deadline, lookahead)
 		}
 
