@@ -180,6 +180,11 @@ type Injector struct {
 	byTask    map[*task.Task]stageRef
 	instances []*instance
 	pending   int
+	// names caches each request app's stage names, so Expand formats
+	// the derived "<requestApp>#<index>" names once per app, not once
+	// per request; longest is Expand's critical-path scratch.
+	names   map[string][]string
+	longest []time.Duration
 }
 
 // NewInjector validates every spec and builds the injector.
@@ -190,6 +195,7 @@ func NewInjector(cfg Config) (*Injector, error) {
 		r:      rng.New(cfg.Seed ^ 0xc4a1),
 		nextID: stageIDBase,
 		byTask: map[*task.Task]stageRef{},
+		names:  map[string][]string{},
 	}
 	for app, spec := range cfg.Specs {
 		c, err := compile(spec)
@@ -215,6 +221,24 @@ func (in *Injector) lookup(app string) *compiled {
 		return c
 	}
 	return in.def
+}
+
+// stageNames returns the stage names of reqApp's workflow c: each
+// stage's Name, or "<reqApp>#<index>" when it has none. A request app
+// always resolves to the same spec, so the names are cached per app.
+func (in *Injector) stageNames(reqApp string, c *compiled) []string {
+	if names, ok := in.names[reqApp]; ok {
+		return names
+	}
+	names := make([]string, len(c.spec.Stages))
+	for i, sg := range c.spec.Stages {
+		names[i] = sg.Name
+		if names[i] == "" {
+			names[i] = fmt.Sprintf("%s#%d", reqApp, i)
+		}
+	}
+	in.names[reqApp] = names
+	return names
 }
 
 // Chained reports whether requests for app expand into a workflow.
@@ -249,7 +273,11 @@ func (in *Injector) Expand(t *task.Task) []*task.Task {
 	}
 
 	var roots []*task.Task
-	longest := make([]time.Duration, len(c.spec.Stages))
+	names := in.stageNames(reqApp, c)
+	if cap(in.longest) < len(c.spec.Stages) {
+		in.longest = make([]time.Duration, len(c.spec.Stages))
+	}
+	longest := in.longest[:len(c.spec.Stages)]
 	for i, sg := range c.spec.Stages {
 		svc := reqService
 		if sg.Service != nil {
@@ -272,10 +300,7 @@ func (in *Injector) Expand(t *task.Task) []*task.Task {
 			in.nextID++
 			st.Weight = t.Weight
 		}
-		st.App = sg.Name
-		if st.App == "" {
-			st.App = fmt.Sprintf("%s#%d", reqApp, i)
-		}
+		st.App = names[i]
 		inst.tasks[i] = st
 		inst.waiting[i] = len(sg.Deps)
 		in.byTask[st] = stageRef{inst: inst, stage: i}

@@ -152,6 +152,48 @@ func TestLinearInheritsRequestService(t *testing.T) {
 	}
 }
 
+// TestDefaultStageNames pins the stage names Expand assigns: a named
+// stage keeps its Name, an unnamed one is "<requestApp>#<index>", for
+// every request of an app (the names are cached per request app) and
+// apart for each app sharing one spec. Alternating specs of different
+// lengths also checks that every request's critical path is its own.
+func TestDefaultStageNames(t *testing.T) {
+	def := Spec{Stages: []Stage{{}, {Name: "auth", Deps: []int{0}}, {Deps: []int{0}}, {Deps: []int{1, 2}}}}
+	short := Spec{Stages: []Stage{{Name: "only"}}}
+	inj, err := NewInjector(Config{Default: &def, Specs: map[string]Spec{"s": short}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]string{
+		"api": {"api#0", "auth", "api#2", "api#3"},
+		"web": {"web#0", "auth", "web#2", "web#3"},
+		"s":   {"only"},
+	}
+	wantIdeal := map[string]time.Duration{"api": ms(15), "web": ms(15), "s": ms(5)}
+	for i, app := range []string{"api", "s", "web", "api", "s", "web"} {
+		req := task.New(i, 0, ms(5))
+		req.App = app
+		roots := inj.Expand(req)
+		if len(roots) != 1 || roots[0] != req {
+			t.Fatalf("request %d (%s): roots %v, want the request task alone", i, app, roots)
+		}
+		inst := inj.instances[len(inj.instances)-1]
+		var got []string
+		for _, st := range inst.tasks {
+			got = append(got, st.App)
+		}
+		if !reflect.DeepEqual(got, want[app]) {
+			t.Errorf("request %d (%s): stage names %q, want %q", i, app, got, want[app])
+		}
+		if inst.wf.App != app {
+			t.Errorf("request %d: workflow app %q, want %q", i, inst.wf.App, app)
+		}
+		if inst.wf.Ideal != wantIdeal[app] {
+			t.Errorf("request %d (%s): ideal %v, want %v", i, app, inst.wf.Ideal, wantIdeal[app])
+		}
+	}
+}
+
 // TestHopDelaysDownstreamStages: the configured hop cost shifts each
 // released stage's arrival past its upstream completion.
 func TestHopDelaysDownstreamStages(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/serverless-sched/sfs/internal/lifecycle"
 	"github.com/serverless-sched/sfs/internal/task"
 	"github.com/serverless-sched/sfs/internal/trace"
 	"github.com/serverless-sched/sfs/internal/workload"
@@ -41,27 +42,53 @@ func clusterAllocs(t *testing.T, mk func() Config, tasks []*task.Task) uint64 {
 
 // TestClusterSteadyStateAllocationFree extends core's
 // TestSteadyStateAllocationFree from one engine to whole fleets: a
-// serial 512×2 JSQ SFS fleet and a sharded 64×4 one. Doubling the
-// invocation count may add at most n/16 allocations for n extra
-// invocations — the same budget — which covers the amortized growth of
-// per-run and per-host slices, while anything that allocates per
-// invocation, per event or per renewal (the local event partition is
-// sized once per engine) fails.
+// serial 512×2 JSQ SFS fleet, a sharded 64×4 one, and serial 64×4
+// WARMFIRST fleets keeping containers warm under TTL and HIST, where
+// every pick reads the warm bitsets and every warm-pool change passes
+// through a manager's transition log. Doubling the invocation count
+// may add at most n/16 allocations for n extra invocations — the same
+// budget — which covers the amortized growth of per-run and per-host
+// slices (and the containers of the cold starts), while anything that
+// allocates per invocation, per event, per renewal (the local event
+// partition is sized once per engine) or per pick fails.
 func TestClusterSteadyStateAllocationFree(t *testing.T) {
 	const n = 40000
 	for _, tc := range []struct {
 		name                 string
 		hosts, cores, shards int
-	}{{"serial-512x2", 512, 2, 0}, {"sharded-64x4", 64, 4, 8}} {
+		dispatch, keepAlive  string
+	}{
+		{"serial-512x2", 512, 2, 0, "JSQ", ""},
+		{"sharded-64x4", 64, 4, 8, "JSQ", ""},
+		{"warmfirst-ttl-64x4", 64, 4, 0, "WARMFIRST", "TTL"},
+		{"warmfirst-hist-64x4", 64, 4, 0, "WARMFIRST", "HIST"},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mk := func() Config {
-				return Config{
+				cfg := Config{
 					Hosts: tc.hosts, CoresPerHost: tc.cores, NewScheduler: schedFactory("SFS"),
-					Dispatcher: dispatcher(t, "JSQ", tc.hosts), Shards: tc.shards, Workers: 1,
+					Dispatcher: dispatcher(t, tc.dispatch, tc.hosts), Shards: tc.shards, Workers: 1,
 				}
+				if tc.keepAlive != "" {
+					cfg.NewLifecycle = func() *lifecycle.Manager {
+						m, err := lifecycle.NewByName(tc.keepAlive, 1024, 0, 42)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return m
+					}
+				}
+				return cfg
 			}
 			gen := func(n int) []*task.Task {
-				return workload.Generate(workload.Spec{N: n, Cores: tc.hosts * tc.cores, Load: 0.8, Seed: 42, IOFraction: 0.3}).Tasks
+				spec := workload.Spec{N: n, Cores: tc.hosts * tc.cores, Load: 0.8, Seed: 42, IOFraction: 0.3}
+				if tc.keepAlive != "" {
+					// Three apps, so warm pools differ across hosts.
+					spec.Apps = []workload.AppChoice{
+						{Profile: workload.AppFib, Weight: 0.5}, {Profile: workload.AppMd, Weight: 0.25}, {Profile: workload.AppSa, Weight: 0.25},
+					}
+				}
+				return workload.Generate(spec).Tasks
 			}
 			small := clusterAllocs(t, mk, gen(n))
 			large := clusterAllocs(t, mk, gen(2*n))

@@ -404,6 +404,9 @@ func (c *Cluster) wireRuntimes(stagesFor func(n *node) []host.Stage) []*host.Run
 // every host engine to completion in global virtual-time order. A
 // Cluster is single-use: build a fresh one per run.
 func (c *Cluster) Run(src trace.Source) (*Result, error) {
+	if c.cfg.NewLifecycle != nil {
+		c.load.trackLifecycles()
+	}
 	if c.cfg.Shards > 0 {
 		return c.runSharded(src)
 	}
@@ -458,14 +461,11 @@ func (c *Cluster) Run(src trace.Source) (*Result, error) {
 	// the central queue) or picks an invalid host (with the error).
 	offer := func(at simtime.Time, ri int) (bool, error) {
 		rec := &records[ri]
-		if c.cfg.NewLifecycle != nil {
-			// Age out expired containers first so affinity-aware
-			// policies (and the lifecycle stage's acquire inside Deliver)
-			// see the warm pools as of the decision instant.
-			for _, n := range c.nodes {
-				n.mgr.AdvanceTo(at)
-			}
-		}
+		// Age out expired containers, and materialize due pre-warms,
+		// first so affinity-aware policies (and the lifecycle stage's
+		// acquire inside Deliver) see the warm pools as of the decision
+		// instant.
+		c.load.advanceLifecycles(at)
 		idx, err := c.pick(at, rec.t)
 		if idx == Hold {
 			return false, err

@@ -203,12 +203,21 @@ func (hashAffinity) Pick(now simtime.Time, t *task.Task, hosts []Host) int {
 // host anywhere it degrades to LEASTLOADED, whose spreading seeds warm
 // pools on every machine. Requires cluster lifecycle modeling to see
 // any warm state; without it Warm is always 0 and the policy is
-// exactly LEASTLOADED.
+// exactly LEASTLOADED. Picks over a cluster's own views walk the fleet
+// load index's warm bitsets (see leastLoadedWarm), visiting only the
+// warm hosts; the scan below serves any other host slice.
 type warmFirst struct{}
 
 func (warmFirst) Name() string { return "WARMFIRST" }
 
 func (warmFirst) Pick(now simtime.Time, t *task.Task, hosts []Host) int {
+	if fl := loadOf(hosts); fl != nil {
+		if best := fl.leastLoadedWarm(t.App); best >= 0 {
+			return best
+		}
+		best, _ := fl.minInFlight()
+		return best
+	}
 	best := -1
 	for i, h := range hosts {
 		if h.Warm(t.App) == 0 {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -103,6 +104,166 @@ func TestLoadIndexMatchesScan(t *testing.T) {
 					})
 				}
 			}
+		}
+	}
+}
+
+// warmChecked wraps scanChecked (so every pick is also checked against
+// the scan) and, before each pick, checks the lifecycle half of the
+// index against the managers it mirrors: every host's clock key is its
+// manager's NextEvent, every warm bit says whether the host holds an
+// idle container for the app, and no manager has an expiry or
+// pre-warm due by the instant advancing every manager would have
+// reached (see advancedTo).
+type warmChecked struct {
+	scanChecked
+	cl *Cluster
+}
+
+// advancedTo returns an instant every manager must have been advanced
+// to before a pick of tk at now. The serial path advances them to the
+// pick instant. The sharded coordinator advances them to the barrier
+// before it places released chain stages (whose IDs the injector
+// draws from 1<<30 up) at that barrier, and, before it admits the
+// window's arrivals, to the end of the window holding the latest
+// renewal it caught up; no engine has moved past the barrier except by
+// that catch-up, so the end of the window holding the latest engine
+// clock is a lower bound that is exact whenever the catch-up moved
+// one.
+func (d *warmChecked) advancedTo(now simtime.Time, tk *task.Task) simtime.Time {
+	if d.cl.cfg.Shards == 0 || tk.ID >= 1<<30 {
+		return now
+	}
+	last := simtime.Time(0)
+	for _, n := range d.cl.nodes {
+		last = max(last, n.eng.Now())
+	}
+	return last - last%DefaultDispatchLatency + DefaultDispatchLatency
+}
+
+func (d *warmChecked) Pick(now simtime.Time, tk *task.Task, hosts []Host) int {
+	t, fl := d.t, d.cl.load
+	if fl.clocks == nil {
+		t.Fatal("lifecycle modeling is on but the index tracks no lifecycle clocks")
+	}
+	due := d.advancedTo(now, tk)
+	for i, n := range d.cl.nodes {
+		next := n.mgr.NextEvent()
+		if key := fl.clocks.Key(i); key != next {
+			t.Fatalf("pick %d at %v: host %d clock keyed %v, its manager's next event is %v", d.picks, now, i, key, next)
+		}
+		if next <= due {
+			t.Fatalf("pick %d at %v: host %d has a lifecycle event due at %v, by %v", d.picks, now, i, next, due)
+		}
+		if n.mgr.WarmIdle(tk.App) > 0 && fl.warm[tk.App] == nil {
+			t.Fatalf("pick %d at %v: host %d is warm for %q, which has no bitset", d.picks, now, i, tk.App)
+		}
+	}
+	// Every bitset is checked on every eighth pick, the picked app's
+	// on every pick.
+	for app, set := range fl.warm {
+		if app != tk.App && d.picks%8 != 0 {
+			continue
+		}
+		for i, n := range d.cl.nodes {
+			if bit, warm := set[i/64]>>(i%64)&1 == 1, n.mgr.WarmIdle(app); bit != (warm > 0) {
+				t.Fatalf("pick %d at %v: host %d app %q: warm bit %v, manager holds %d idle", d.picks, now, i, app, bit, warm)
+			}
+		}
+	}
+	return d.scanChecked.Pick(now, tk, hosts)
+}
+
+// warmTasks draws a keep-alive workload whose pools expire, evict and
+// skip pre-warms: bursts of 300 invocations of 200–600 ms over twenty
+// apps every 20 s until 112 s, which fill two-container hosts, and six
+// cron apps firing every 20 s until 255 s. Cron gaps are long enough
+// for HIST to pre-warm them; pre-warms due while burst containers
+// linger find no memory, later ones fit.
+func warmTasks(seed uint64) []*task.Task {
+	r := rng.New(seed)
+	var tasks []*task.Task
+	add := func(at time.Duration, svc time.Duration, app string) {
+		tk := task.New(0, at, svc)
+		tk.App = app
+		tasks = append(tasks, tk)
+	}
+	for b := 0; b < 6; b++ {
+		start := time.Duration(10+20*b) * time.Second
+		for k := 0; k < 300; k++ {
+			add(start+time.Duration(r.Intn(2000))*time.Millisecond,
+				time.Duration(200+r.Intn(400))*time.Millisecond, fmt.Sprintf("burst%02d", r.Intn(20)))
+		}
+	}
+	for c := 0; c < 6; c++ {
+		for k := 0; k < 13; k++ {
+			add(time.Duration(20*k+3*c)*time.Second+time.Duration(r.Intn(50))*time.Millisecond,
+				5*time.Millisecond, fmt.Sprintf("cron%d", c))
+		}
+	}
+	sort.SliceStable(tasks, func(i, j int) bool { return tasks[i].Arrival < tasks[j].Arrival })
+	for i, tk := range tasks {
+		tk.ID = i
+	}
+	return tasks
+}
+
+// TestWarmIndexMatchesScan is the differential test for the index's
+// lifecycle half: WARMFIRST over two-stage chains on a fleet wider
+// than one bitset word, under TTL, HIST and LRU keep-alive with two
+// containers of memory per host (see warmTasks), on the serial path
+// and at two shard counts. Each pick is checked by warmChecked and
+// must equal the scan's.
+func TestWarmIndexMatchesScan(t *testing.T) {
+	const hosts, cores, seed = 66, 1, 29
+	two := chain.Spec{Stages: []chain.Stage{{}, {Deps: []int{0}}}}
+	for _, policy := range []string{"TTL", "HIST", "LRU"} {
+		for _, shards := range []int{0, 3, 4} {
+			t.Run(fmt.Sprintf("%s/shards=%d", policy, shards), func(t *testing.T) {
+				d := &warmChecked{scanChecked: scanChecked{Dispatcher: dispatcher(t, "WARMFIRST", hosts), t: t}}
+				workers := 1
+				if shards == 4 {
+					workers = 2 // shard workers change managers concurrently
+				}
+				cl, err := New(Config{
+					Hosts: hosts, CoresPerHost: cores, NewScheduler: schedFactory("SFS"), Dispatcher: d,
+					Chain: &chain.Config{Default: &two, Seed: seed}, Shards: shards, Workers: workers,
+					NewLifecycle: func() *lifecycle.Manager {
+						m, err := lifecycle.NewByName(policy, 256, 200*time.Millisecond, seed)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return m
+					},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				d.cl = cl
+				res, err := cl.Run(trace.FromTasks("warm", warmTasks(seed)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Aborted {
+					t.Fatal("run aborted")
+				}
+				ls := res.Lifecycle
+				t.Logf("%d picks; %d warm hits, %d evictions, %d expirations, %d pre-warms, %d skipped",
+					d.picks, ls.Invocations-ls.ColdStarts, ls.Evictions, ls.Expirations, ls.Prewarms, ls.PrewarmSkips)
+				high := 0
+				for _, hr := range res.PerHost[64:] {
+					high += hr.Dispatches
+				}
+				if high == 0 || ls.Evictions == 0 || ls.Invocations == ls.ColdStarts {
+					t.Fatal("the run left the second bitset word unused, or never evicted or hit a warm container")
+				}
+				if policy != "LRU" && ls.Expirations == 0 {
+					t.Fatal("no container expired")
+				}
+				if policy == "HIST" && (ls.Prewarms == 0 || ls.PrewarmSkips == 0) {
+					t.Fatal("HIST did not both materialize and skip a pre-warm")
+				}
+			})
 		}
 	}
 }

@@ -248,14 +248,11 @@ func (c *Cluster) runSharded(src trace.Source) (*Result, error) {
 	next, more := src.Next()
 	for {
 		// ---- barrier: coordinator owns all state ----
-		if c.cfg.NewLifecycle != nil {
-			// One monotone advance per barrier; shards move each manager
-			// forward again during the window via the lifecycle stage's
-			// acquire/release hooks.
-			for _, n := range c.nodes {
-				n.mgr.AdvanceTo(now)
-			}
-		}
+		// One monotone lifecycle advance per barrier (of the managers
+		// with anything due); shards move each manager forward again
+		// during the window via the lifecycle stage's acquire/release
+		// hooks.
+		c.load.advanceLifecycles(now)
 
 		// Completions from the last window are merged across shards in
 		// deterministic (time, host, seq) order — equal (time, host)
@@ -375,8 +372,9 @@ func (c *Cluster) runSharded(src trace.Source) (*Result, error) {
 		runWindow(bound)
 		now = bound
 		// Back on the coordinator: only the hosts a window stepped or
-		// delivered to changed load, so re-key just those before the
-		// next barrier's picks.
+		// delivered to changed load or container state, so re-key just
+		// those, and drain their warm logs, before the next barrier's
+		// picks.
 		for _, sh := range shards {
 			for _, i := range sh.grp.Touched() {
 				c.load.update(sh.base + i)
@@ -426,7 +424,5 @@ func (c *Cluster) catchUpRenewals(upTo simtime.Time, inclusive bool, now, deadli
 	if deadline != simtime.Infinity {
 		bound = min(bound, deadline+1)
 	}
-	for _, n := range c.nodes {
-		n.mgr.AdvanceTo(bound)
-	}
+	c.load.advanceLifecycles(bound)
 }

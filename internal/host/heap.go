@@ -41,6 +41,9 @@ func (h *Heap[K]) Min() (idx int, key K) {
 	return top, h.key[top]
 }
 
+// Key returns index i's current key.
+func (h *Heap[K]) Key(i int) K { return h.key[i] }
+
 // Update re-keys index i and restores the heap invariant.
 func (h *Heap[K]) Update(i int, key K) {
 	if h.key[i] == key {

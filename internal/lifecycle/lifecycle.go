@@ -18,6 +18,21 @@
 // (HIST) may additionally schedule a pre-warmed container just before
 // the application's predicted next arrival.
 //
+// Drivers that index warm state fleet-wide (internal/cluster) read two
+// change feeds instead of polling every manager:
+//
+//   - DrainWarm reports, and forgets, the applications whose idle pool
+//     went empty or stopped being empty since the last drain, each
+//     with its current state. The log holds each application at most
+//     once, so it stays bounded by the number of applications on a
+//     driver that never drains it (a standalone run).
+//   - NextEvent is the earliest pending expiry or pre-warm. Until the
+//     driver's clock reaches it, AdvanceTo changes nothing but the
+//     manager's clock, so a driver may skip the call. Now then lags
+//     the driver's clock on such a manager, which no result depends
+//     on: Acquire and Release take the instant as an argument, and
+//     every expiry and pre-warm still fires in the same order.
+//
 // Determinism: a Manager is a deterministic function of its Config and
 // the sequence of Acquire/Release/AdvanceTo calls, which drivers must
 // issue in non-decreasing virtual-time order (the discrete-event loops
@@ -207,6 +222,14 @@ func (h *eventHeap) Pop() any {
 	return e
 }
 
+// pool is one application's idle containers, most recently released
+// last.
+type pool struct {
+	app    string
+	cs     []*Container
+	logged bool // on the manager's warmLog
+}
+
 // Manager is the container lifecycle state of one host. It is not safe
 // for concurrent use; simulations are single-threaded by design.
 type Manager struct {
@@ -214,8 +237,9 @@ type Manager struct {
 	policy Policy
 	r      *rng.RNG
 
-	idle     map[string][]*Container // per-app idle pool, most recent last
-	pending  map[string]*event       // at most one scheduled pre-warm per app
+	idle     map[string]*pool  // per-app idle pool
+	warmLog  []*pool           // pools that emptied or filled since DrainWarm
+	pending  map[string]*event // at most one scheduled pre-warm per app
 	events   eventHeap
 	free     freelist.List[event] // events that left the queue
 	seq      uint64
@@ -253,7 +277,7 @@ func New(cfg Config) (*Manager, error) {
 		cfg:     cfg,
 		policy:  cfg.Policy,
 		r:       rng.New(cfg.Seed ^ 0xc01d),
-		idle:    map[string][]*Container{},
+		idle:    map[string]*pool{},
 		pending: map[string]*event{},
 	}, nil
 }
@@ -276,8 +300,41 @@ func (m *Manager) Policy() Policy { return m.policy }
 // Stats returns a snapshot of the cumulative counters.
 func (m *Manager) Stats() Stats { return m.stats }
 
-// Now returns the latest virtual time the manager has observed.
+// Now returns the latest virtual time the manager has observed. A
+// driver that skips AdvanceTo while nothing is due (see NextEvent)
+// leaves it behind its own clock.
 func (m *Manager) Now() simtime.Time { return m.now }
+
+// NextEvent returns the instant of the earliest pending expiry or
+// pre-warm, or simtime.Infinity when none is queued. AdvanceTo to any
+// earlier instant changes no state but Now.
+func (m *Manager) NextEvent() simtime.Time {
+	if len(m.events) == 0 {
+		return simtime.Infinity
+	}
+	return m.events[0].at
+}
+
+// DrainWarm calls fn once for every application whose idle pool went
+// from empty to non-empty or back since the last drain, in the order
+// of each one's first change, with whether the pool is non-empty now,
+// then clears the log. An application whose pool flipped and flipped
+// back is still reported, with its current state.
+func (m *Manager) DrainWarm(fn func(app string, warm bool)) {
+	for _, p := range m.warmLog {
+		p.logged = false
+		fn(p.app, len(p.cs) > 0)
+	}
+	m.warmLog = m.warmLog[:0]
+}
+
+// logWarm records that p went from empty to non-empty or back.
+func (m *Manager) logWarm(p *pool) {
+	if !p.logged {
+		p.logged = true
+		m.warmLog = append(m.warmLog, p)
+	}
+}
 
 // AdvanceTo processes all expiry and pre-warm events up to now in
 // timeline order. Acquire and Release advance implicitly; external
@@ -324,11 +381,15 @@ func (m *Manager) Acquire(now simtime.Time, app string) (time.Duration, *Contain
 	m.stats.Invocations++
 	m.policy.OnArrival(now, app)
 
-	if pool := m.idle[app]; len(pool) > 0 {
+	if p := m.idle[app]; p != nil && len(p.cs) > 0 {
 		// Reuse the most recently released container (LIFO keeps the
 		// hottest sandbox hot and lets the colder end age out).
-		c := pool[len(pool)-1]
-		m.idle[app] = pool[:len(pool)-1]
+		c := p.cs[len(p.cs)-1]
+		p.cs[len(p.cs)-1] = nil
+		p.cs = p.cs[:len(p.cs)-1]
+		if len(p.cs) == 0 {
+			m.logWarm(p)
+		}
 		m.cancelExpiry(c)
 		c.busy = true
 		c.lastUsed = now
@@ -366,7 +427,7 @@ func (m *Manager) Release(now simtime.Time, c *Container) {
 		m.destroy(c)
 		m.stats.Discards++
 	} else {
-		m.idle[c.App] = append(m.idle[c.App], c)
+		m.addIdle(c)
 		m.scheduleExpiry(now, c, d.KeepWarm)
 	}
 	if d.PrewarmIn > 0 {
@@ -377,7 +438,12 @@ func (m *Manager) Release(now simtime.Time, c *Container) {
 // WarmIdle returns the number of idle warm containers held for app as
 // of the last observed virtual time (callers that can see a later clock
 // should AdvanceTo first). Affinity-aware dispatchers read it.
-func (m *Manager) WarmIdle(app string) int { return len(m.idle[app]) }
+func (m *Manager) WarmIdle(app string) int {
+	if p := m.idle[app]; p != nil {
+		return len(p.cs)
+	}
+	return 0
+}
 
 // UsedMB returns current container memory, busy plus idle.
 func (m *Manager) UsedMB() int { return m.usedMB }
@@ -420,8 +486,8 @@ func (m *Manager) reserve(mb int) {
 func (m *Manager) evictLRU() bool {
 	var victim *Container
 	victimApp := ""
-	for app, pool := range m.idle {
-		for _, c := range pool {
+	for app, p := range m.idle {
+		for _, c := range p.cs {
 			if victim == nil || c.idleSince < victim.idleSince ||
 				(c.idleSince == victim.idleSince && app < victimApp) {
 				victim, victimApp = c, app
@@ -438,12 +504,32 @@ func (m *Manager) evictLRU() bool {
 	return true
 }
 
-// removeIdle deletes c from its app pool, preserving order.
+// addIdle appends c to its app pool, logging a pool it makes warm.
+func (m *Manager) addIdle(c *Container) {
+	p := m.idle[c.App]
+	if p == nil {
+		p = &pool{app: c.App}
+		m.idle[c.App] = p
+	}
+	if len(p.cs) == 0 {
+		m.logWarm(p)
+	}
+	p.cs = append(p.cs, c)
+}
+
+// removeIdle deletes c from its app pool, preserving order, and logs a
+// pool it leaves empty.
 func (m *Manager) removeIdle(c *Container) {
-	pool := m.idle[c.App]
-	for i, o := range pool {
+	p := m.idle[c.App]
+	for i, o := range p.cs {
 		if o == c {
-			m.idle[c.App] = append(pool[:i], pool[i+1:]...)
+			n := len(p.cs) - 1
+			copy(p.cs[i:], p.cs[i+1:])
+			p.cs[n] = nil
+			p.cs = p.cs[:n]
+			if n == 0 {
+				m.logWarm(p)
+			}
 			return
 		}
 	}
@@ -501,7 +587,7 @@ func (m *Manager) materializePrewarm(e *event) {
 		m.stats.MemPeakMB = m.usedMB
 	}
 	c := &Container{App: e.app, Prewarmed: true, mb: mb, idleSince: e.at, lastUsed: e.at}
-	m.idle[e.app] = append(m.idle[e.app], c)
+	m.addIdle(c)
 	m.stats.Prewarms++
 	keep := e.keep
 	if keep == 0 {

@@ -224,6 +224,87 @@ func TestPrewarmDedupe(t *testing.T) {
 	}
 }
 
+// drain returns what DrainWarm reports: each app's warm state, and how
+// many times any app was reported.
+func drain(m *Manager) (map[string]bool, int) {
+	got, calls := map[string]bool{}, 0
+	m.DrainWarm(func(app string, warm bool) {
+		got[app] = warm
+		calls++
+	})
+	return got, calls
+}
+
+// TestDrainWarmAndNextEvent pins the change feeds fleet-wide indexes
+// read: DrainWarm reports every pool that a release, a warm hit, an
+// expiry, an eviction or a pre-warm moved between empty and non-empty,
+// once per drain and with its current state, and NextEvent is the
+// earliest pending expiry or pre-warm.
+func TestDrainWarmAndNextEvent(t *testing.T) {
+	m := constMgr(t, Config{Policy: NewFixedTTL(ms(100)), MemoryMB: 2 * DefaultContainerMB})
+	want := func(step string, w map[string]bool, next simtime.Time) {
+		t.Helper()
+		got, calls := drain(m)
+		if len(got) != len(w) || calls != len(w) {
+			t.Fatalf("%s: drained %v in %d calls, want %v", step, got, calls, w)
+		}
+		for app, warm := range w {
+			if g, ok := got[app]; !ok || g != warm {
+				t.Fatalf("%s: drained %v, want %v", step, got, w)
+			}
+		}
+		if n := m.NextEvent(); n != next {
+			t.Fatalf("%s: next event %v, want %v", step, n, next)
+		}
+	}
+	want("fresh", nil, simtime.Infinity)
+	_, c := m.Acquire(0, "a")
+	want("cold start", nil, simtime.Infinity)
+	m.Release(ms(10), c)
+	want("release", map[string]bool{"a": true}, ms(110))
+	want("drained twice", nil, ms(110))
+	_, c = m.Acquire(ms(20), "a")
+	want("warm hit", map[string]bool{"a": false}, simtime.Infinity)
+	m.Release(ms(30), c)
+	_, c = m.Acquire(ms(40), "a")
+	want("flipped back", map[string]bool{"a": false}, simtime.Infinity)
+	m.Release(ms(50), c)
+	want("release again", map[string]bool{"a": true}, ms(150))
+	m.AdvanceTo(ms(149))
+	want("before expiry", nil, ms(150))
+	m.AdvanceTo(ms(150))
+	want("expiry", map[string]bool{"a": false}, simtime.Infinity)
+	_, b := m.Acquire(ms(200), "b")
+	m.Release(ms(210), b)
+	_, c = m.Acquire(ms(220), "c")
+	m.Release(ms(230), c)
+	want("two warm apps", map[string]bool{"b": true, "c": true}, ms(310))
+	m.Acquire(ms(240), "d")
+	want("eviction", map[string]bool{"b": false}, ms(330))
+
+	// A HIST pre-warm fills an empty pool at its instant.
+	m = constMgr(t, Config{Policy: NewHistogram(time.Second)})
+	at := simtime.Time(0)
+	for i := 0; i < histMinSamples+2; i++ {
+		_, c := m.Acquire(at, "cron")
+		m.Release(at+ms(50), c)
+		at += 3 * time.Hour
+	}
+	for m.Stats().Prewarms == 0 {
+		next := m.NextEvent()
+		if next == simtime.Infinity {
+			t.Fatal("no pre-warm was scheduled")
+		}
+		m.AdvanceTo(next)
+		if got, _ := drain(m); got["cron"] != (m.WarmIdle("cron") > 0) {
+			t.Fatalf("at %v drained %v, manager holds %d idle", next, got, m.WarmIdle("cron"))
+		}
+	}
+	if m.WarmIdle("cron") != 1 {
+		t.Fatalf("pre-warm left %d idle containers, want 1", m.WarmIdle("cron"))
+	}
+}
+
 // TestDeterministicReplay: two managers with the same seed and the same
 // call sequence must report identical stats and sample identical
 // cold-start latencies.

@@ -57,6 +57,7 @@ func GatedBenchmarks() []string {
 		"predicted-dispatch",
 		"host-pipeline",
 		"dispatch-1k",
+		"warm-dispatch",
 	}
 }
 
@@ -338,6 +339,64 @@ func Scenarios(quick bool, seed uint64) []Scenario {
 					}
 				}
 				b.ReportMetric(float64(n*b.N)/b.Elapsed().Seconds(), "tasks/s")
+			},
+		},
+		{
+			// One op = a serial 64-host × 4-core fleet run of TRIGGER
+			// chains under WARMFIRST, with HIST keep-alive capped at
+			// 1024 MB per host: the warm-aware dispatch path, where every
+			// pick reads the per-app warm bitsets, every dispatch
+			// advances only the lifecycle managers with an expiry or
+			// pre-warm due, and chain expansion names every stage. A
+			// pick that falls back to scanning every host's warm pool, or
+			// a dispatch that advances every manager, shows up here.
+			Name: "warm-dispatch",
+			Bench: func(b *testing.B) {
+				const hosts, cores, memoryMB = 64, 4, 1024
+				spec := workload.TriggerSpec{N: size(quick, 16000), Cores: hosts * cores, Load: 0.9, Seed: seed}
+				src, ccfg, err := workload.TriggerStream(spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				// TRIGGER's queue batches can overlap the next batch;
+				// replay the trace in arrival order.
+				tape, err := trace.TapeFrom(src)
+				if err != nil {
+					b.Fatal(err)
+				}
+				tape.SortByArrival()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					d, err := cluster.NewDispatcher("WARMFIRST", cluster.FactoryConfig{Hosts: hosts, Seed: seed})
+					if err != nil {
+						b.Fatal(err)
+					}
+					cl, err := cluster.New(cluster.Config{
+						Hosts: hosts, CoresPerHost: cores,
+						NewScheduler: func() cpusim.Scheduler { return core.New(core.DefaultConfig()) },
+						Dispatcher:   d,
+						Chain:        &ccfg,
+						NewLifecycle: func() *lifecycle.Manager {
+							m, err := lifecycle.NewByName("HIST", memoryMB, 0, seed)
+							if err != nil {
+								b.Fatal(err)
+							}
+							return m
+						},
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
+					res, err := cl.Run(tape.Source())
+					if err != nil {
+						b.Fatal(err)
+					}
+					if res.Aborted {
+						b.Fatal("warm-dispatch run aborted")
+					}
+				}
+				b.ReportMetric(float64(spec.N*b.N)/b.Elapsed().Seconds(), "requests/s")
 			},
 		},
 		{
